@@ -63,7 +63,8 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/dralint/
 	$(GO) test -run '^$$' -fuzz FuzzDRALint -fuzztime $(FUZZTIME) ./internal/encoding/
-	$(GO) test -run '^$$' -fuzz FuzzXMLScanner -fuzztime $(FUZZTIME) ./internal/encoding/
+	$(GO) test -run '^$$' -fuzz 'FuzzXMLScanner$$' -fuzztime $(FUZZTIME) ./internal/encoding/
+	$(GO) test -run '^$$' -fuzz FuzzXMLScannerDiff -fuzztime $(FUZZTIME) ./internal/encoding/
 	$(GO) test -run '^$$' -fuzz FuzzTermScanner -fuzztime $(FUZZTIME) ./internal/encoding/
 	$(GO) test -run '^$$' -fuzz FuzzJSONSource -fuzztime $(FUZZTIME) ./internal/encoding/
 	$(GO) test -run '^$$' -fuzz FuzzParallelSplit -fuzztime $(FUZZTIME) ./internal/encoding/
@@ -75,7 +76,8 @@ fuzz:
 
 # CI-sized smoke pass (see ci.sh): the chunk-parallel, coded-pipeline,
 # pushdown-vs-old-machine and earliest-emission differential fuzzers, the
-# three event-source fuzzers, the tablecheck roundtrip fuzzer (seeded with
+# three event-source fuzzers, the bytes-level scanner differential fuzzer
+# (windowed scanners vs the byte-at-a-time reference vs encoding/xml), the tablecheck roundtrip fuzzer (seeded with
 # mined equivalence counterexamples), and the multi-query product-vs-fanout
 # differential fuzzer, 10s each.
 SMOKETIME ?= 10s
@@ -84,7 +86,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCodedVsString -fuzztime $(SMOKETIME) ./internal/encoding/
 	$(GO) test -run '^$$' -fuzz FuzzStackCodedVsString -fuzztime $(SMOKETIME) ./internal/encoding/
 	$(GO) test -run '^$$' -fuzz FuzzEarliestVsCurrent -fuzztime $(SMOKETIME) ./internal/encoding/
-	$(GO) test -run '^$$' -fuzz FuzzXMLScanner -fuzztime $(SMOKETIME) ./internal/encoding/
+	$(GO) test -run '^$$' -fuzz 'FuzzXMLScanner$$' -fuzztime $(SMOKETIME) ./internal/encoding/
+	$(GO) test -run '^$$' -fuzz FuzzXMLScannerDiff -fuzztime $(SMOKETIME) ./internal/encoding/
 	$(GO) test -run '^$$' -fuzz FuzzTermScanner -fuzztime $(SMOKETIME) ./internal/encoding/
 	$(GO) test -run '^$$' -fuzz FuzzJSONSource -fuzztime $(SMOKETIME) ./internal/encoding/
 	$(GO) test -run '^$$' -fuzz FuzzTablecheckRoundtrip -fuzztime $(SMOKETIME) ./internal/tablecheck/

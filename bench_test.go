@@ -476,6 +476,75 @@ func BenchmarkStdXMLBridge(b *testing.B) {
 	}
 }
 
+// BenchmarkBridgeBatched drives the encoding/xml and encoding/json bridges
+// through the batched query paths: Query.SelectXMLFull and Query.SelectJSON
+// (the Batcher's per-event string coding) and MultiQuery.SelectJSON (the
+// TagBatcher's per-event interning). The bridges dominate the cost; the
+// benchmark watches the batching layer above them.
+func BenchmarkBridgeBatched(b *testing.B) {
+	loadFixtures()
+	xq := MustCompileRegex(".*'category'.*'name'", []string{"catalog", "item", "name", "price", "category", "discount"})
+	b.Run("xmlfull", func(b *testing.B) {
+		b.SetBytes(int64(len(fixtures.catalogXML)))
+		for i := 0; i < b.N; i++ {
+			if _, err := xq.SelectXMLFull(bytes.NewReader(fixtures.catalogXML), Options{}, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	keys := make([]string, 20)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	var doc bytes.Buffer
+	doc.WriteString(`{"book": [`)
+	for i := 0; i < 3000; i++ {
+		if i > 0 {
+			doc.WriteByte(',')
+		}
+		doc.WriteByte('{')
+		for j := 0; j < 6; j++ {
+			if j > 0 {
+				doc.WriteByte(',')
+			}
+			fmt.Fprintf(&doc, `"%s": %d`, keys[(i+3*j)%len(keys)], j)
+		}
+		doc.WriteByte('}')
+	}
+	doc.WriteString("]}")
+	labels := append([]string{"$", "book", "item"}, keys...)
+	exprs := []string{"$..'k0'", "$..'k2'", "$.'book'.'item'.'k3'", "$..'k9'"}
+	qs := make([]*Query, len(exprs))
+	for i, e := range exprs {
+		var err error
+		if qs[i], err = CompileJSONPath(e, labels); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("json", func(b *testing.B) {
+		b.SetBytes(int64(doc.Len()))
+		for i := 0; i < b.N; i++ {
+			if _, err := qs[0].SelectJSON(bytes.NewReader(doc.Bytes()), Options{}, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	for _, k := range []int{1, 4} {
+		mq, err := NewMultiQuery(qs[:k]...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("json-multi=%d", k), func(b *testing.B) {
+			b.SetBytes(int64(doc.Len()))
+			for i := 0; i < b.N; i++ {
+				if _, err := mq.SelectJSON(bytes.NewReader(doc.Bytes()), Options{}, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- Term encoding: under Γ ∪ {◁} the registerless machine resolves no
 // labels on closing tags, matching the pushdown's advantage — the honest
 // counterpoint to the markup-encoding overhead (see EXPERIMENTS.md). ---

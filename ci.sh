@@ -53,6 +53,13 @@ go test -race ./internal/...
 echo '== go test -race (observability contract) =='
 go test -race -run 'Obs|Earliest' .
 
+echo '== e2ebench (vet + tests) =='
+# The end-to-end benchmark is its own module (e2ebench/, replace stackless
+# => ../) and drives the engine's layers through their exported functions.
+# Building and testing it here makes an engine API change that breaks the
+# benchmark fail this gate instead of the benchmark run.
+(cd e2ebench && go vet ./... && go test ./...)
+
 echo '== fuzz smoke =='
 make fuzz-smoke
 

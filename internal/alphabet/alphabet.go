@@ -185,6 +185,7 @@ type Coder struct {
 	labels  []string // linear cache, pointer-fast for interned labels
 	codes   []Sym
 	over    map[string]Sym // overflow beyond coderCacheSize
+	byID    []Sym          // IDTable: code of a stream's label id
 }
 
 // NewCoder returns a coder for the alphabet.
@@ -214,6 +215,23 @@ func (c *Coder) Code(label string) Sym {
 		}
 	}
 	return c.codeLinear(label)
+}
+
+// IDTable returns the code table of a stream whose labels are interned
+// into dense ids: entry id is the code of names[id]. names is the stream's
+// label list so far; it only grows, so each call resolves just the labels
+// added since the previous one — one alphabet lookup per distinct label per
+// stream — and every event then codes with one slice load. A Coder serving
+// IDTable must serve a single stream.
+func (c *Coder) IDTable(names []string) []Sym {
+	for _, name := range names[len(c.byID):] {
+		s := c.unknown
+		if id, ok := c.alph.ID(name); ok {
+			s = Sym(id)
+		}
+		c.byID = append(c.byID, s)
+	}
+	return c.byID
 }
 
 // codeLinear scans the small linear cache (multi-byte labels, or a byte

@@ -46,6 +46,23 @@ type TagDFA struct {
 	// the flags are exact for the compiled table (tablecheck recomputes and
 	// diffs them).
 	cdec []int32
+
+	id atomic.Uint64 // process-unique identity, see ID
+}
+
+// tagIDs is the process-wide TagDFA identity counter.
+var tagIDs atomic.Uint64
+
+// ID returns the automaton's process-unique identity, drawn from a global
+// atomic counter on first use, however the automaton was built. Caches key
+// on it rather than on the pointer, so they keep no machine alive
+// (internal/product).
+func (t *TagDFA) ID() uint64 {
+	if id := t.id.Load(); id != 0 {
+		return id
+	}
+	t.id.CompareAndSwap(0, tagIDs.Add(1))
+	return t.id.Load()
 }
 
 // compiled returns the flat table, its acceptance vector (length n+1,

@@ -41,13 +41,107 @@ func CodeEvents(coder *alphabet.Coder, events []Event, buf []CodedEvent) []Coded
 	return buf
 }
 
+// TagBatcher drains a Source into reusable batches of tag events whose Sym
+// is the stream-local label id, not an alphabet code: the scanners fill
+// them directly, and any other Source is interned per event. Each consumer
+// lowers a batch through its own Coder with Code — one slice load per
+// event, one alphabet lookup per distinct label — so several machines
+// (MultiQuery's product groups and loose queries) share one scan. The
+// batch returned by Next is overwritten by the next call.
+type TagBatcher struct {
+	src   tagSource
+	guard *balancedSource // CheckBalance folded into the scanner's fill
+	raw   []CodedEvent
+	names []string
+	err   error
+}
+
+// NewTagBatcher returns a tag batcher of the given batch size
+// (DefaultBatch when size <= 0) over src. A scanner behind CheckBalance
+// keeps its batch fill, with the guard checked in it per event.
+func NewTagBatcher(src Source, size int) *TagBatcher {
+	if size <= 0 {
+		size = DefaultBatch
+	}
+	ts, g := scannerOf(src)
+	if ts == nil {
+		ts = &internSource{src: src, labels: newLabels()}
+	}
+	return &TagBatcher{src: ts, guard: g, raw: make([]CodedEvent, 0, size)}
+}
+
+// scannerOf returns src's batch fill and the balance guard to fold into
+// it when src is a scanner, bare or behind CheckBalance; nil otherwise.
+func scannerOf(src Source) (tagSource, *balancedSource) {
+	if g, ok := src.(*balancedSource); ok {
+		if ts, ok := g.inner.(tagSource); ok {
+			return ts, g
+		}
+	}
+	ts, _ := src.(tagSource)
+	return ts, nil
+}
+
+// Next returns the next batch, the number of Open events in it, and the
+// error that terminated the stream (io.EOF at a clean end), with the same
+// contract as Batcher.NextBatch.
+func (t *TagBatcher) Next() ([]CodedEvent, int, error) {
+	if t.err != nil {
+		t.raw = t.raw[:0]
+		return nil, 0, t.err
+	}
+	raw, opens, err := t.src.fill(t.raw[:0], t.guard)
+	t.raw, t.names, t.err = raw, t.src.labelNames(), err
+	return raw, opens, err
+}
+
+// Label returns the label of event i of the current batch.
+func (t *TagBatcher) Label(i int) string { return t.names[t.raw[i].Sym] }
+
+// Code lowers the current batch through coder into dst (reusing its
+// storage) and returns it. A coder must serve one stream: its id table
+// extends with the stream's labels.
+func (t *TagBatcher) Code(coder *alphabet.Coder, dst []CodedEvent) []CodedEvent {
+	tab := coder.IDTable(t.names)
+	dst = dst[:0]
+	for _, e := range t.raw {
+		dst = append(dst, CodedEvent{Sym: tab[e.Sym], Kind: e.Kind})
+	}
+	return dst
+}
+
+// internSource interns the labels of a Source without a batch fill of its
+// own (the encoding/xml and JSON bridges, event slices) for a TagBatcher:
+// one lookup per event.
+type internSource struct {
+	src Source
+	labels
+}
+
+// fill implements tagSource; the guard, if any, wraps src itself.
+func (s *internSource) fill(buf []CodedEvent, _ *balancedSource) ([]CodedEvent, int, error) {
+	opens := 0
+	for len(buf) < cap(buf) {
+		e, err := s.src.Next()
+		if err != nil {
+			return buf, opens, err
+		}
+		buf = append(buf, CodedEvent{Sym: alphabet.Sym(s.internString(e.Label)), Kind: e.Kind})
+		opens += 1 - int(e.Kind)
+	}
+	return buf, opens, nil
+}
+
 // Batcher drains a Source into reusable coded batches. The slice returned
 // by NextBatch is overwritten by the next call; consumers must finish with
 // a batch before pulling the next one. A *SliceSource input is consumed
-// directly from its backing slice, skipping the per-event interface call.
+// directly from its backing slice, skipping the per-event interface call;
+// a scanner fills batches through a TagBatcher, with no per-event interface
+// call or string.
 type Batcher struct {
 	src   Source
-	slice *SliceSource // non-nil fast path
+	slice *SliceSource // non-nil: slice fast path
+	tags  *TagBatcher  // non-nil: scanner path
 	coder *alphabet.Coder
 	buf   []CodedEvent
 	err   error
@@ -64,6 +158,9 @@ type Batcher struct {
 
 // BatchLabel returns the original label of event i of the current batch.
 func (b *Batcher) BatchLabel(i int) string {
+	if b.tags != nil {
+		return b.tags.Label(i)
+	}
 	if b.win != nil {
 		return b.win[i].Label
 	}
@@ -79,6 +176,8 @@ func NewBatcher(src Source, coder *alphabet.Coder, size int) *Batcher {
 	b := &Batcher{src: src, coder: coder, buf: make([]CodedEvent, 0, size)}
 	if s, ok := src.(*SliceSource); ok {
 		b.slice = s
+	} else if ts, _ := scannerOf(src); ts != nil {
+		b.tags = NewTagBatcher(src, size)
 	}
 	return b
 }
@@ -89,6 +188,11 @@ func NewBatcher(src Source, coder *alphabet.Coder, size int) *Batcher {
 // the batch before acting on the error. Subsequent calls repeat the error
 // with an empty batch.
 func (b *Batcher) NextBatch() ([]CodedEvent, int, error) {
+	if b.tags != nil {
+		_, opens, err := b.tags.Next()
+		b.buf = b.tags.Code(b.coder, b.buf)
+		return b.buf, opens, err
+	}
 	if b.err != nil {
 		return nil, 0, b.err
 	}

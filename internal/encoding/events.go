@@ -204,29 +204,39 @@ func CheckBalance(src Source) Source { return &balancedSource{inner: src} }
 // Next implements Source.
 func (b *balancedSource) Next() (Event, error) {
 	e, err := b.inner.Next()
-	if err == io.EOF {
-		if b.depth != 0 || !b.opened {
-			return Event{}, fmt.Errorf("%w: stream ended at depth %d", ErrMalformed, b.depth)
-		}
-		return Event{}, io.EOF
-	}
-	if err != nil {
+	if err := b.check(e.Kind, err); err != nil {
 		return Event{}, err
 	}
-	if b.done {
-		return Event{}, fmt.Errorf("%w: content after the root element", ErrMalformed)
+	return e, nil
+}
+
+// check applies the guard to the inner source's next result: an event of
+// kind k, or the error err. The scanners' batch fill calls it per event,
+// so a folded-in guard fails exactly where Next would.
+func (b *balancedSource) check(k Kind, err error) error {
+	if err == io.EOF {
+		if b.depth != 0 || !b.opened {
+			return fmt.Errorf("%w: stream ended at depth %d", ErrMalformed, b.depth)
+		}
+		return io.EOF
 	}
-	if e.Kind == Open {
+	if err != nil {
+		return err
+	}
+	if b.done {
+		return fmt.Errorf("%w: content after the root element", ErrMalformed)
+	}
+	if k == Open {
 		b.opened = true
 		b.depth++
-	} else {
-		b.depth--
-		if b.depth < 0 {
-			return Event{}, fmt.Errorf("%w: unmatched closing tag", ErrMalformed)
-		}
-		if b.depth == 0 {
-			b.done = true
-		}
+		return nil
 	}
-	return e, nil
+	b.depth--
+	if b.depth < 0 {
+		return fmt.Errorf("%w: unmatched closing tag", ErrMalformed)
+	}
+	if b.depth == 0 {
+		b.done = true
+	}
+	return nil
 }

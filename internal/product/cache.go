@@ -23,28 +23,6 @@ import (
 // pools rarely has more than a handful of live sets.
 const DefaultCacheSize = 64
 
-// Machine identity for cache keys: a process-unique id per TagDFA pointer.
-// Pointers themselves cannot be cache keys (not ordered, not stable in a
-// string), so the first time a machine is seen it is assigned a monotonic
-// id. Compiling the same query twice yields two machines and two ids — the
-// cache deduplicates repeated *sets*, not structurally equal automata.
-var (
-	idMu   sync.Mutex
-	idOf   = map[*core.TagDFA]uint64{}
-	nextID uint64
-)
-
-func machineID(m *core.TagDFA) uint64 {
-	idMu.Lock()
-	defer idMu.Unlock()
-	if id, ok := idOf[m]; ok {
-		return id
-	}
-	nextID++
-	idOf[m] = nextID
-	return nextID
-}
-
 // entry is one cached compilation result. Failures (ErrProductTooLarge) are
 // cached too: discovering that a set blows the state cap costs a bounded
 // BFS, and re-discovering it per run would charge that to every query.
@@ -55,7 +33,10 @@ type entry struct {
 }
 
 // Cache is an LRU of compiled products keyed by the canonical query-set key
-// (sorted member ids + each member's alphabet generation, see Get). Safe
+// (sorted member ids + each member's alphabet generation, see Get). Member
+// ids are core.TagDFA.ID: compiling the same query twice yields two
+// machines and two ids, so the cache deduplicates repeated *sets*, not
+// structurally equal automata, and only its live entries hold machines. Safe
 // for concurrent use; compilation runs under the lock, so concurrent
 // requests for the same set compile once.
 type Cache struct {
@@ -107,7 +88,7 @@ func (c *Cache) Get(members []*core.TagDFA, maxStates int, col *obs.Collector) (
 	ids := make([]uint64, len(members))
 	for i, m := range members {
 		order[i] = i
-		ids[i] = machineID(m)
+		ids[i] = m.ID()
 	}
 	// Insertion sort by id: member sets are small and mostly pre-sorted
 	// (queries compile in order, ids are assigned in first-seen order).

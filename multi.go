@@ -237,10 +237,11 @@ func (m *MultiQuery) plan(evs []core.Evaluator, c *obs.Collector) product.Plan {
 }
 
 // selectBatched is the compiled fast path of the sequential multi-query
-// pass: the document is read in batches; each product group codes the batch
-// once under its shared union alphabet and steps its product whole,
-// demultiplexing hit masks into per-query hit lists, while loose machines
-// code and step individually as before. Matches are replayed from the
+// pass: the document is scanned once into batches of stream-local label
+// ids (encoding.TagBatcher); each product group lowers the batch through
+// its own coder under its shared union alphabet — one slice load per event
+// — and steps its product whole, demultiplexing hit masks into per-query
+// hit lists, while loose machines code and step individually as before. Matches are replayed from the
 // per-query hit lists in the exact (position, query) order of the per-event
 // pass. An instrumented run stays on this path: the collector's event total
 // flushes once per return, depths observe per open during the replay walk
@@ -278,29 +279,16 @@ func (m *MultiQuery) selectBatched(src encoding.Source, evs []core.Evaluator, pl
 			c.Events.Add(int64(stats.Events) * int64(n))
 		}()
 	}
-	batch := make([]encoding.Event, 0, encoding.DefaultBatch)
+	tags := encoding.NewTagBatcher(src, encoding.DefaultBatch)
 	pos, depth := -1, 0
 	for {
-		batch = batch[:0]
-		opens := 0
-		var srcErr error
-		for len(batch) < encoding.DefaultBatch {
-			e, err := src.Next()
-			if err != nil {
-				srcErr = err
-				break
-			}
-			if e.Kind == encoding.Open {
-				opens++
-			}
-			batch = append(batch, e)
-		}
+		batch, opens, srcErr := tags.Next()
 		if len(batch) > 0 {
 			stats.Events += len(batch)
 			anyHits := false
 			for li := range bes {
 				q := loose[li]
-				coded[li] = encoding.CodeEvents(coders[li], batch, coded[li][:0])
+				coded[li] = tags.Code(coders[li], coded[li])
 				hits[q] = bes[li].SelectBatch(coded[li], hits[q][:0])
 				next[q] = 0
 				anyHits = anyHits || len(hits[q]) > 0
@@ -311,7 +299,7 @@ func (m *MultiQuery) selectBatched(src encoding.Source, evs []core.Evaluator, pl
 					hits[q] = hits[q][:0]
 					next[q] = 0
 				}
-				gcoded[gi] = encoding.CodeEvents(gcoders[gi], batch, gcoded[gi][:0])
+				gcoded[gi] = tags.Code(gcoders[gi], gcoded[gi])
 				ghits[gi], gmasks[gi] = gevs[gi].SelectBatchMasks(gcoded[gi], ghits[gi][:0], gmasks[gi][:0])
 				words := g.Machine.MaskWords()
 				for h, j := range ghits[gi] {
@@ -350,7 +338,7 @@ func (m *MultiQuery) selectBatched(src encoding.Source, evs []core.Evaluator, pl
 								c.Latency.Observe(len(batch) - 1 - j)
 							}
 							if fn != nil {
-								fn(MultiMatch{Query: q, Match: Match{Pos: pos, Depth: depth, Label: batch[j].Label}})
+								fn(MultiMatch{Query: q, Match: Match{Pos: pos, Depth: depth, Label: tags.Label(j)}})
 							}
 						}
 					}
