@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci test race vet fmt build lint lint-tables bce allocgate fuzz fuzz-smoke bench bench-coded bench-multi bench-earliest bench-stack bench-coded-gate bench-stack-gate clean
+.PHONY: ci test race vet fmt build lint lint-tables allocgate fuzz fuzz-smoke bench bench-coded bench-multi bench-earliest bench-stack bench-coded-gate bench-stack-gate clean
 
 # timed runs one lint gate and prints its wall-clock seconds, so a gate
 # that quietly grows past the lint budget (90s total) is visible in every
@@ -28,12 +28,12 @@ vet:
 # All static-analysis layers: dralint over the paper's automata tables,
 # treelint over the Go source (including the flow-sensitive
 # allocfree/lifecycle/hotlock analyzers), tablecheck over the compiled
-# transition tables, the bounds-check-elimination gate and the
-# escape-analysis allocation gate over the plain kernels. treelint is
+# transition tables, and the compiler-diagnostic gate (escape analysis and
+# bounds-check elimination) over the plain kernels. treelint is
 # built once into bin/ and driven by go vet so test files are analyzed too
 # (and results land in the build cache). Each gate prints its wall-clock
 # time; the whole lint target must stay under 90s.
-lint: lint-tables bce allocgate
+lint: lint-tables allocgate
 	$(call timed,dralint,$(GO) run ./cmd/dralint)
 	$(GO) build -o bin/treelint ./cmd/treelint
 	$(call timed,treelint,$(GO) vet -vettool=$(CURDIR)/bin/treelint ./...)
@@ -44,14 +44,11 @@ lint: lint-tables bce allocgate
 lint-tables:
 	$(call timed,tablecheck,$(GO) run ./cmd/tablecheck)
 
-# Fail if any //treelint:plain batch kernel in internal/core or
-# internal/encoding retains a compiler-inserted bounds check.
-bce:
-	$(call timed,bcegate,$(GO) run ./cmd/bcegate)
-
-# Fail if any //treelint:plain kernel body in internal/core or
-# internal/encoding reaches the heap (compiler escape analysis, -m -m),
-# modulo //treelint:partial-annotated lines.
+# One compiler build of internal/core, internal/encoding and
+# internal/stackeval under -m -m -d=ssa/check_bce: fail if any
+# //treelint:plain kernel body reaches the heap (modulo
+# //treelint:partial-annotated lines), or if any //treelint:plain batch
+# kernel retains a compiler-inserted bounds check.
 allocgate:
 	$(call timed,allocgate,$(GO) run ./cmd/allocgate)
 

@@ -14,14 +14,15 @@ fi
 echo '== go vet =='
 go vet ./...
 
-echo '== lint (dralint + treelint + tablecheck + bcegate + allocgate) =='
+echo '== lint (dralint + treelint + tablecheck + allocgate) =='
 # dralint checks the depth-register automata tables; treelint checks the
 # Go-level contracts (plain kernels, enum totality, pool discipline, atomic
 # fields, Close errors, and the flow-sensitive allocfree/lifecycle/hotlock
 # analyses); tablecheck verifies every compiled transition table (shape,
-# closure, flags, totality, bounded equivalence); bcegate fails if a
-# //treelint:plain batch kernel retains a bounds check; allocgate fails if
-# a plain kernel body reaches the heap per the compiler's escape analysis.
+# closure, flags, totality, bounded equivalence); allocgate, the
+# compiler-diagnostic gate, fails if a //treelint:plain kernel body reaches
+# the heap per the compiler's escape analysis or a //treelint:plain batch
+# kernel retains a bounds check.
 # treelint runs under go vet so the _test.go variants of every package are
 # analyzed too.
 make lint

@@ -1,30 +1,38 @@
-// Command allocgate is the static zero-allocation gate for the hot batch
-// kernels: the compiler-escape-analysis backstop behind treelint's
-// allocfree analyzer. It rebuilds the engine's kernel packages under
-// -gcflags='-m -m' and fails if the body of any function annotated
-// //treelint:plain contains a value the compiler reports as escaping
-// ("escapes to heap" / "moved to heap"). The AST analyzer reasons about
-// allocation *forms*; this gate asks the compiler what actually reaches
-// the heap after inlining and escape analysis, so the two disagree exactly
-// where it matters (a composite literal that stays on the stack passes
-// here, a laundered interface conversion fails here).
+// Command allocgate is the compiler-diagnostic gate for the hot kernels. It
+// rebuilds the engine's kernel packages once with escape analysis and the
+// check_bce debug pass enabled (-gcflags='-m -m -d=ssa/check_bce') and runs
+// two checks over what the compiler reports:
 //
-// The plumbing is deliberately paranoid, mirroring cmd/bcegate: the module
-// is copied to a scratch directory and salted so the build cache cannot
-// swallow diagnostics, and a probe function written to always escape is
-// injected into the build — if the probe's escape does not surface, the
-// gate exits 2 rather than reporting a vacuous pass. Deliberate,
-// documented allocations are exempted by a //treelint:partial directive on
-// the allocation's line (or the line above it), the same escape hatch the
-// allocfree analyzer honors.
+//   - escape: the body of every function annotated //treelint:plain must
+//     hold no value the compiler reports as escaping ("escapes to heap" /
+//     "moved to heap"). This is the backstop behind treelint's allocfree
+//     analyzer: the AST analyzer reasons about allocation forms, the
+//     compiler says what actually reaches the heap after inlining and
+//     escape analysis. Deliberate, documented allocations are exempted by
+//     a //treelint:partial directive on the allocation's line (or the line
+//     above it), the escape hatch the allocfree analyzer honors too.
+//   - bounds: every batch kernel (StepBatch, SelectBatch,
+//     SimulateSegmentCoded) must be annotated //treelint:plain or
+//     //treelint:partial, and a plain one must retain no bounds check. The
+//     flat-table layouts of DESIGN.md §11 exist so the inner loops compile
+//     to straight-line loads; a silently reintroduced IsInBounds is a
+//     performance regression no test notices.
 //
-//	allocgate                    # gate ./internal/core and ./internal/encoding
-//	allocgate -v                 # list every escape, including exempted ones
-//	allocgate -json              # machine-readable violations (diagjson schema)
+// The plumbing is deliberately paranoid. The Go build cache suppresses
+// compiler diagnostics for up-to-date packages, so the module is copied to
+// a scratch directory and every kernel file is salted to force
+// recompilation. Two probes are injected into the build, one that must
+// escape and one whose bounds check cannot be eliminated: if either
+// diagnostic does not surface, the gate exits 2 rather than reporting a
+// vacuous pass.
+//
+//	allocgate                    # gate internal/core, internal/encoding, internal/stackeval
+//	allocgate -v                 # also list clean kernels, exempt escapes, other bounds checks
+//	allocgate -json              # violations in the shared diagjson schema
 //	allocgate -dir m -pkgs ./... # gate another module
 //
-// Exit status: 0 when every //treelint:plain body is escape-free (modulo
-// annotated lines), 1 when a plain kernel allocates, 2 on build or
+// Exit status: 0 when both checks pass, 1 when a plain kernel allocates or
+// retains a bounds check (or a batch kernel is unannotated), 2 on build or
 // plumbing errors (including a missed probe).
 package main
 
@@ -54,26 +62,41 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// escapeRe matches one top-level escape diagnostic from -m -m. The flow
+// kernelNames are the batch-kernel methods the bounds check derives its
+// target set from; every implementation must be annotated plain or partial.
+var kernelNames = map[string]bool{
+	"StepBatch":            true,
+	"SelectBatch":          true,
+	"SimulateSegmentCoded": true,
+}
+
+// diagRe matches one top-level compiler diagnostic. The -m -m flow
 // explanation lines repeat the file:line:col prefix with an indented
 // message, so the message group requires a non-space start.
-var escapeRe = regexp.MustCompile(`^(.+\.go):(\d+):\d+: (\S.*)$`)
+var diagRe = regexp.MustCompile(`^(.+\.go):(\d+):\d+: (\S.*)$`)
 
 const probeFile = "zz_allocgate_probe.go"
 
-// kernel is one //treelint:plain function: the file it lives in
-// (module-relative, slash-separated) and its body's line range.
+// kernel is one annotated (or, for a batch kernel, missing-annotation)
+// function: the file it lives in (module-relative, slash-separated) and its
+// body's line range.
 type kernel struct {
 	file       string
 	name       string
 	start, end int
+	mode       string // "plain", "partial", or "" when unannotated
 }
 
-// escape is one compiler-reported heap allocation.
-type escape struct {
-	file string
-	line int
-	msg  string
+// diag is one harvested diagnostic: a retained bounds check (op is
+// IsInBounds or IsSliceInBounds) or a heap escape (msg).
+type diag struct {
+	file    string
+	line    int
+	op, msg string
+}
+
+func (d diag) in(k kernel) bool {
+	return strings.HasSuffix(d.file, k.file) && k.start <= d.line && d.line <= k.end
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -81,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	dir := fs.String("dir", ".", "module root to gate")
 	pkgsFlag := fs.String("pkgs", "./internal/core,./internal/encoding,./internal/stackeval", "comma-separated package dirs holding the kernels")
-	verbose := fs.Bool("v", false, "list every escape, including exempt and out-of-kernel ones")
+	verbose := fs.Bool("v", false, "also list clean kernels, exempt escapes and bounds checks outside the kernels")
 	jsonOut := fs.Bool("json", false, "emit violations as a diagjson record array on stdout")
 	noProbe := fs.Bool("noprobe", false, "skip probe injection so the self-test must trip (exercises the vacuous-pass guard)")
 	if err := fs.Parse(args); err != nil {
@@ -117,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Salt every non-test .go file of the target packages so the build
-	// cache cannot swallow the diagnostics, and inject the self-test probe
+	// cache cannot swallow the diagnostics, and inject the self-test probes
 	// into the first package.
 	salt := fmt.Sprintf("// allocgate salt %d %d\n", os.Getpid(), time.Now().UnixNano())
 	for i, p := range pkgs {
@@ -132,8 +155,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Rebuild with escape-analysis diagnostics on and harvest them.
-	cmd := exec.Command("go", append([]string{"build", "-gcflags=./...=-m -m"}, pkgs...)...)
+	// Rebuild once with both diagnostics on and harvest them. -m -m
+	// repeats lines across passes, so the harvest is de-duplicated.
+	cmd := exec.Command("go", append([]string{"build", "-gcflags=./...=-m -m -d=ssa/check_bce"}, pkgs...)...)
 	cmd.Dir = tmp
 	var out bytes.Buffer
 	cmd.Stdout = &out
@@ -141,40 +165,40 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := cmd.Run(); err != nil {
 		return fail(fmt.Errorf("go build: %v\n%s", err, out.String()))
 	}
-	var escapes []escape
-	seen := map[escape]bool{} // -m -m repeats diagnostics across build passes
+	var bounds, escapes []diag
+	seen := map[diag]bool{}
 	for _, line := range strings.Split(out.String(), "\n") {
-		m := escapeRe.FindStringSubmatch(line)
+		m := diagRe.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		msg := m[3]
-		if !strings.Contains(msg, "escapes to heap") && !strings.HasPrefix(msg, "moved to heap") {
-			continue
-		}
 		n, _ := strconv.Atoi(m[2])
-		e := escape{file: filepath.ToSlash(m[1]), line: n, msg: strings.TrimSuffix(msg, ":")}
-		if seen[e] {
+		d := diag{file: filepath.ToSlash(m[1]), line: n}
+		msg := m[3]
+		switch {
+		case msg == "Found IsInBounds" || msg == "Found IsSliceInBounds":
+			d.op = strings.TrimPrefix(msg, "Found ")
+		case strings.Contains(msg, "escapes to heap") || strings.HasPrefix(msg, "moved to heap"):
+			d.msg = strings.TrimSuffix(msg, ":")
+		default:
 			continue
 		}
-		seen[e] = true
-		escapes = append(escapes, e)
-	}
-
-	// Self-test: the probe is written to always escape, so its diagnostic
-	// must be in the harvest — otherwise the -m pipeline itself is broken
-	// and a green result would mean nothing.
-	probeSeen := false
-	for _, e := range escapes {
-		if path.Base(e.file) == probeFile {
-			probeSeen = true
+		if seen[d] {
+			continue
+		}
+		seen[d] = true
+		if d.op != "" {
+			bounds = append(bounds, d)
+		} else {
+			escapes = append(escapes, d)
 		}
 	}
-	if !probeSeen {
-		return fail(fmt.Errorf("self-test failed: the probe's escape did not surface; -m diagnostics are not reaching the gate (%d lines harvested)", len(escapes)))
+
+	if err := probeErr(bounds, escapes); err != nil {
+		return fail(err)
 	}
 
-	// Locate every plain kernel body and every //treelint:partial line in
+	// Locate every annotated function and every //treelint:partial line in
 	// the scratch copy (line numbers match the original: the salt is
 	// appended at EOF).
 	var kernels []kernel
@@ -192,70 +216,135 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return kernels[i].start < kernels[j].start
 	})
-	if len(kernels) == 0 {
-		return fail(fmt.Errorf("no //treelint:plain kernels found under %s", *pkgsFlag))
+	var batch, plain []kernel
+	for _, k := range kernels {
+		if kernelNames[k.name] {
+			batch = append(batch, k)
+		}
+		if k.mode == "plain" {
+			plain = append(plain, k)
+		}
+	}
+	if len(batch) == 0 || len(plain) == 0 {
+		return fail(fmt.Errorf("no batch kernels (%s) or no //treelint:plain kernels found under %s", keys(kernelNames), *pkgsFlag))
 	}
 
-	// exemptAt mirrors the analyzer's HasDirective: a directive on the
-	// diagnostic's line or the line above it.
-	exemptAt := func(file string, line int) bool {
-		for f, lines := range exempt {
-			if strings.HasSuffix(file, f) {
-				return lines[line] || lines[line-1]
+	var records []diagjson.Record
+	violate := func(file string, line int, kind, msg string) {
+		records = append(records, diagjson.Record{File: file, Line: line, Analyzer: "allocgate", Kind: kind, Message: msg})
+		if !*jsonOut {
+			fmt.Fprintf(stdout, "%s:%d: %s\n", file, line, msg)
+		}
+	}
+	note := func(format string, args ...any) {
+		if *verbose && !*jsonOut {
+			fmt.Fprintf(stdout, format, args...)
+		}
+	}
+
+	// Bounds check: batch kernels only.
+	bcePlain, bcePartial := 0, 0
+	for _, k := range batch {
+		switch k.mode {
+		case "partial":
+			bcePartial++
+			continue
+		case "":
+			violate(k.file, k.start, "unannotated",
+				fmt.Sprintf("batch kernel %s carries neither //treelint:plain nor //treelint:partial", k.name))
+			continue
+		}
+		bcePlain++
+		clean := true
+		for _, d := range bounds {
+			if d.in(k) {
+				clean = false
+				violate(k.file, d.line, "bounds-check",
+					fmt.Sprintf("plain kernel %s retains a bounds check (%s)", k.name, d.op))
 			}
 		}
-		return false
+		if clean {
+			note("%s:%d: plain kernel %s is bounds-check-free\n", k.file, k.start, k.name)
+		}
+	}
+	for _, d := range bounds {
+		inKernel := path.Base(d.file) == probeFile
+		for _, k := range batch {
+			inKernel = inKernel || d.in(k)
+		}
+		if !inKernel {
+			note("note: %s:%d: %s (outside the gated kernels)\n", d.file, d.line, d.op)
+		}
 	}
 
-	violations := 0
+	// Escape check: every plain function, modulo annotated lines (a
+	// directive on the diagnostic's line or the line above it, as the
+	// analyzer's HasDirective).
 	exempted := 0
-	var records []diagjson.Record
-	for _, k := range kernels {
+	for _, k := range plain {
 		clean := true
-		for _, e := range escapes {
-			if !strings.HasSuffix(e.file, k.file) || e.line < k.start || e.line > k.end {
+		for _, d := range escapes {
+			if !d.in(k) {
 				continue
 			}
-			if exemptAt(e.file, e.line) {
+			if lines := exempt[k.file]; lines[d.line] || lines[d.line-1] {
 				exempted++
-				if *verbose {
-					fmt.Fprintf(stdout, "note: %s:%d: exempt in plain kernel %s: %s\n", k.file, e.line, k.name, e.msg)
-				}
+				note("note: %s:%d: exempt in plain kernel %s: %s\n", k.file, d.line, k.name, d.msg)
 				continue
 			}
 			clean = false
-			violations++
-			if *jsonOut {
-				records = append(records, diagjson.Record{
-					File:     k.file,
-					Line:     e.line,
-					Analyzer: "allocgate",
-					Kind:     "escape",
-					Message:  fmt.Sprintf("plain kernel %s allocates: %s", k.name, e.msg),
-				})
-			} else {
-				fmt.Fprintf(stdout, "%s:%d: plain kernel %s allocates: %s\n", k.file, e.line, k.name, e.msg)
-			}
+			violate(k.file, d.line, "escape",
+				fmt.Sprintf("plain kernel %s allocates: %s", k.name, d.msg))
 		}
-		if clean && *verbose {
-			fmt.Fprintf(stdout, "%s:%d: plain kernel %s is escape-free\n", k.file, k.start, k.name)
+		if clean {
+			note("%s:%d: plain kernel %s is escape-free\n", k.file, k.start, k.name)
 		}
 	}
+
 	if *jsonOut {
 		if err := diagjson.Write(stdout, records); err != nil {
 			return fail(err)
 		}
 	}
-	if violations > 0 {
+	if len(records) > 0 {
 		if !*jsonOut {
-			fmt.Fprintf(stdout, "allocgate: %d violation(s)\n", violations)
+			fmt.Fprintf(stdout, "allocgate: %d violation(s)\n", len(records))
 		}
 		return 1
 	}
 	if !*jsonOut {
-		fmt.Fprintf(stdout, "allocgate: %d plain kernel(s) escape-free, %d annotated escape(s) exempt\n", len(kernels), exempted)
+		fmt.Fprintf(stdout, "allocgate: %d plain kernel(s) bounds-check-free, %d partial kernel(s) exempt\n", bcePlain, bcePartial)
+		fmt.Fprintf(stdout, "allocgate: %d plain kernel(s) escape-free, %d annotated escape(s) exempt\n", len(plain), exempted)
 	}
 	return 0
+}
+
+// probeErr is the self-test: each probe is written to trip its check, so
+// both diagnostics must be in the harvest — otherwise the flag pipeline is
+// broken and a green result would mean nothing.
+func probeErr(bounds, escapes []diag) error {
+	for _, probe := range []struct {
+		what  string
+		diags []diag
+	}{{"bounds check", bounds}, {"escape", escapes}} {
+		seen := false
+		for _, d := range probe.diags {
+			seen = seen || path.Base(d.file) == probeFile
+		}
+		if !seen {
+			return fmt.Errorf("self-test failed: the probe's %s did not surface; compiler diagnostics are not reaching the gate (%d bounds checks, %d escapes harvested)", probe.what, len(bounds), len(escapes))
+		}
+	}
+	return nil
+}
+
+func keys(m map[string]bool) string {
+	var ks []string
+	for k := range m {
+		ks = append(ks, k)
+	}
+	sort.Strings(ks)
+	return strings.Join(ks, "/")
 }
 
 // copyModule copies the module tree at src into dst, skipping VCS state.
@@ -285,18 +374,31 @@ func copyModule(src, dst string) error {
 	})
 }
 
-// saltPackage appends a cache-busting comment to every non-test .go file in
-// dir (non-recursive: one package).
-func saltPackage(dir, salt string) error {
+// goFiles lists the non-test .go files of the package at dir
+// (non-recursive: one package).
+func goFiles(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range ents {
+		name := e.Name()
+		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			names = append(names, name)
+		}
+	}
+	return names, nil
+}
+
+// saltPackage appends a cache-busting comment to every non-test .go file in
+// dir.
+func saltPackage(dir, salt string) error {
+	names, err := goFiles(dir)
 	if err != nil {
 		return err
 	}
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
+	for _, name := range names {
 		f, err := os.OpenFile(filepath.Join(dir, name), os.O_APPEND|os.O_WRONLY, 0)
 		if err != nil {
 			return err
@@ -312,15 +414,30 @@ func saltPackage(dir, salt string) error {
 	return nil
 }
 
-// writeProbe drops a function the escape analyzer provably must report
-// into the package at dir: returning the address of a local always moves
-// it to the heap.
+// writeProbe drops the two self-test functions into the package at dir: one
+// whose bounds check the compiler provably cannot eliminate, and one that
+// returns the address of a local, which always moves it to the heap.
 func writeProbe(dir string) error {
-	pkg, err := packageName(dir)
+	names, err := goFiles(dir)
 	if err != nil {
 		return err
 	}
+	pkg := ""
+	fset := token.NewFileSet()
+	for _, name := range names {
+		if f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.PackageClauseOnly); err == nil {
+			pkg = f.Name.Name
+			break
+		}
+	}
+	if pkg == "" {
+		return fmt.Errorf("no .go files in %s", dir)
+	}
 	src := fmt.Sprintf(`package %s
+
+// bcegateProbe indexes with an arbitrary int: the check cannot be
+// eliminated, so its Found line proves the check_bce pipeline works.
+func bcegateProbe(a []int32, i int) int32 { return a[i] }
 
 // allocgateProbe returns the address of its local: the compiler must move
 // x to the heap, so the probe's diagnostic proves the -m pipeline works.
@@ -332,42 +449,20 @@ func allocgateProbe(n int) *int {
 	return os.WriteFile(filepath.Join(dir, probeFile), []byte(src), 0o644)
 }
 
-// packageName parses the package clause of the first buildable .go file in
-// dir.
-func packageName(dir string) (string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return "", err
-	}
-	fset := token.NewFileSet()
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.PackageClauseOnly)
-		if err != nil {
-			continue
-		}
-		return f.Name.Name, nil
-	}
-	return "", fmt.Errorf("no .go files in %s", dir)
-}
-
-// scanKernels parses the package at root/rel, returns every //treelint:plain
-// function with its body line range, and records the line of every
-// //treelint:partial directive into exempt.
+// scanKernels parses the package at root/rel, returns every batch kernel
+// and every //treelint:plain function with its annotation and body line
+// range, and records the line of every //treelint:partial directive into
+// exempt.
 func scanKernels(root, rel string, exempt map[string]map[int]bool) ([]kernel, error) {
 	dir := filepath.Join(root, filepath.FromSlash(rel))
-	ents, err := os.ReadDir(dir)
+	names, err := goFiles(dir)
 	if err != nil {
 		return nil, err
 	}
 	fset := token.NewFileSet()
 	var out []kernel
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") || name == probeFile {
+	for _, name := range names {
+		if name == probeFile {
 			continue
 		}
 		relFile := path.Join(filepath.ToSlash(rel), name)
@@ -377,8 +472,7 @@ func scanKernels(root, rel string, exempt map[string]map[int]bool) ([]kernel, er
 		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if rest, ok := strings.CutPrefix(c.Text, "//treelint:partial"); ok &&
-					(rest == "" || rest[0] == ' ' || rest[0] == '\t') {
+				if isDirective(c.Text, "partial") {
 					if exempt[relFile] == nil {
 						exempt[relFile] = map[int]bool{}
 					}
@@ -388,7 +482,11 @@ func scanKernels(root, rel string, exempt map[string]map[int]bool) ([]kernel, er
 		}
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !isPlainMarked(fn) {
+			if !ok || fn.Body == nil {
+				continue
+			}
+			mode := annotation(fn)
+			if mode != "plain" && !kernelNames[fn.Name.Name] {
 				continue
 			}
 			out = append(out, kernel{
@@ -396,23 +494,33 @@ func scanKernels(root, rel string, exempt map[string]map[int]bool) ([]kernel, er
 				name:  fn.Name.Name,
 				start: fset.Position(fn.Body.Pos()).Line,
 				end:   fset.Position(fn.Body.End()).Line,
+				mode:  mode,
 			})
 		}
 	}
 	return out, nil
 }
 
-// isPlainMarked reports whether the function's doc comment carries
-// //treelint:plain.
-func isPlainMarked(fn *ast.FuncDecl) bool {
+// annotation extracts the treelint kernel directive from a function's doc
+// comment: "plain", "partial", or "" when absent (the first directive
+// wins).
+func annotation(fn *ast.FuncDecl) string {
 	if fn.Doc == nil {
-		return false
+		return ""
 	}
 	for _, c := range fn.Doc.List {
-		if rest, ok := strings.CutPrefix(c.Text, "//treelint:plain"); ok &&
-			(rest == "" || rest[0] == ' ' || rest[0] == '\t') {
-			return true
+		for _, mode := range []string{"plain", "partial"} {
+			if isDirective(c.Text, mode) {
+				return mode
+			}
 		}
 	}
-	return false
+	return ""
+}
+
+// isDirective reports whether a comment is the //treelint:<mode> directive,
+// optionally followed by a reason.
+func isDirective(text, mode string) bool {
+	rest, ok := strings.CutPrefix(text, "//treelint:"+mode)
+	return ok && (rest == "" || rest[0] == ' ' || rest[0] == '\t')
 }

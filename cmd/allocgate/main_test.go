@@ -13,10 +13,11 @@ func runCmd(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), err.String()
 }
 
-// TestBadModFails proves the gate can fail: the fixture module's StepBatch
-// parks a fresh slice in a field every call and must be flagged, while the
-// stack-only SelectBatch and the partial-annotated SimulateSegmentCoded
-// must not be.
+// TestBadModFails proves the escape check can fail: the fixture module's
+// StepBatch parks a fresh slice in a field every call and must be flagged,
+// while the stack-only SelectBatch and the partial-annotated
+// SimulateSegmentCoded must not be. The bounds check's failing fixture is
+// tested in cmd/bcegate.
 func TestBadModFails(t *testing.T) {
 	code, out, stderr := runCmd(t, "-dir", "testdata/badmod", "-pkgs", ".", "-v")
 	if code != 1 {
@@ -40,7 +41,8 @@ func TestBadModFails(t *testing.T) {
 }
 
 // TestJSONSchema locks the -json output to the shared diagjson shape:
-// exactly the five agreed keys per record.
+// exactly the five agreed keys per record, and an escape record for the
+// failing module.
 func TestJSONSchema(t *testing.T) {
 	code, out, stderr := runCmd(t, "-dir", "testdata/badmod", "-pkgs", ".", "-json")
 	if code != 1 {
@@ -50,9 +52,7 @@ func TestJSONSchema(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &records); err != nil {
 		t.Fatalf("-json output is not a JSON array: %v\n%s", err, out)
 	}
-	if len(records) == 0 {
-		t.Fatal("-json produced no records for the failing module")
-	}
+	found := false
 	for _, r := range records {
 		for _, key := range []string{"file", "line", "analyzer", "kind", "message"} {
 			if _, ok := r[key]; !ok {
@@ -62,13 +62,17 @@ func TestJSONSchema(t *testing.T) {
 		if len(r) != 5 {
 			t.Errorf("record has %d keys, want exactly 5: %v", len(r), r)
 		}
-		if r["analyzer"] != "allocgate" || r["kind"] != "escape" {
+		if r["analyzer"] != "allocgate" || (r["kind"] != "escape" && r["kind"] != "bounds-check") {
 			t.Errorf("unexpected analyzer/kind: %v", r)
 		}
+		found = found || r["kind"] == "escape"
+	}
+	if !found {
+		t.Errorf("-json produced no escape record for the failing module:\n%s", out)
 	}
 }
 
-// TestProbeSelfTest removes the probe from the build: the gate must refuse
+// TestProbeSelfTest removes the probes from the build: the gate must refuse
 // to report a (vacuous) pass and exit 2.
 func TestProbeSelfTest(t *testing.T) {
 	code, out, stderr := runCmd(t, "-dir", "testdata/badmod", "-pkgs", ".", "-noprobe")
@@ -78,11 +82,25 @@ func TestProbeSelfTest(t *testing.T) {
 	if !strings.Contains(stderr, "self-test failed") {
 		t.Errorf("self-test failure not explained:\n%s", stderr)
 	}
+	// One build harvests both diagnostics, so either probe going missing
+	// alone must trip the self-test too.
+	bce := []diag{{file: "p/" + probeFile, line: 5, op: "IsInBounds"}}
+	esc := []diag{{file: "p/" + probeFile, line: 10, msg: "moved to heap: x"}}
+	if err := probeErr(bce, esc); err != nil {
+		t.Errorf("both probes present: %v", err)
+	}
+	if err := probeErr(nil, esc); err == nil || !strings.Contains(err.Error(), "bounds check") {
+		t.Errorf("missing bounds probe: %v", err)
+	}
+	if err := probeErr(bce, nil); err == nil || !strings.Contains(err.Error(), "escape") {
+		t.Errorf("missing escape probe: %v", err)
+	}
 }
 
 // TestEngineKernelsClean runs the real gate: every //treelint:plain kernel
-// in internal/core and internal/encoding must be escape-free modulo its
-// annotated lines.
+// in internal/core, internal/encoding and internal/stackeval must be
+// escape-free modulo its annotated lines, and every plain batch kernel
+// bounds-check-free.
 func TestEngineKernelsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("recompiles the kernel packages; skipped in -short")
@@ -91,8 +109,10 @@ func TestEngineKernelsClean(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, want 0:\n%s%s", code, out, stderr)
 	}
-	if !strings.Contains(out, "plain kernel(s) escape-free") {
-		t.Errorf("summary missing:\n%s", out)
+	for _, summary := range []string{"plain kernel(s) escape-free", "plain kernel(s) bounds-check-free"} {
+		if !strings.Contains(out, summary) {
+			t.Errorf("summary %q missing:\n%s", summary, out)
+		}
 	}
 }
 

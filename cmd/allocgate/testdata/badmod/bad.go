@@ -1,7 +1,7 @@
-// Package badmod is the allocgate negative fixture: a miniature kernel
+// Package badmod is the escape-check negative fixture: a miniature kernel
 // package whose //treelint:plain StepBatch allocates per batch, so the
-// gate must fail on it. If allocgate ever reports this module clean, the
-// gate is broken.
+// gate's escape check must fail on it. If allocgate ever reports this
+// module escape-free, the gate is broken.
 package badmod
 
 // M is a toy machine with the same flat-table shape as the real kernels.

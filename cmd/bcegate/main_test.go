@@ -1,21 +1,82 @@
-package main
+// Package bcegate holds the tests of the bounds check of the
+// compiler-diagnostic gate. The gate itself is cmd/allocgate, which runs
+// the escape and the bounds check over one build; these tests build that
+// command once and drive it against this directory's bounds-check fixture
+// (testdata/badmod) and against the engine.
+package bcegate
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func runCmd(t *testing.T, args ...string) (code int, stdout, stderr string) {
-	t.Helper()
-	var out, err strings.Builder
-	code = run(args, &out, &err)
-	return code, out.String(), err.String()
+// gate is the path of the allocgate binary built by TestMain.
+var gate string
+
+func TestMain(m *testing.M) {
+	os.Exit(runTests(m))
 }
 
-// TestBadModFails proves the gate can fail: the fixture module's StepBatch
-// is written to defeat BCE and must be flagged, while its uint-guarded
-// SelectBatch and partial-exempt SimulateSegmentCoded must not be.
+func runTests(m *testing.M) int {
+	dir, err := os.MkdirTemp("", "bcegate-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	defer os.RemoveAll(dir)
+	if err := touchGateSources(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	gate = filepath.Join(dir, "allocgate")
+	build := exec.Command("go", "build", "-o", gate, "stackless/cmd/allocgate")
+	if out, err := build.CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "building allocgate: %v\n%s", err, out)
+		return 2
+	}
+	return m.Run()
+}
+
+// touchGateSources reads the gate's Go files so that the test cache, which
+// tracks the files a test opens, is invalidated when the gate changes.
+func touchGateSources() error {
+	files, err := filepath.Glob(filepath.Join("..", "allocgate", "*.go"))
+	if err != nil {
+		return err
+	}
+	for _, f := range files {
+		if _, err := os.ReadFile(f); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func runCmd(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	var out, errOut strings.Builder
+	cmd := exec.Command(gate, args...)
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	if err := cmd.Run(); err != nil {
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			t.Fatalf("running allocgate: %v", err)
+		}
+		code = exit.ExitCode()
+	}
+	return code, out.String(), errOut.String()
+}
+
+// TestBadModFails proves the bounds check can fail: the fixture module's
+// StepBatch is written to defeat BCE and must be flagged, while its
+// uint-guarded SelectBatch and partial-exempt SimulateSegmentCoded must not
+// be.
 func TestBadModFails(t *testing.T) {
 	code, out, stderr := runCmd(t, "-dir", "testdata/badmod", "-pkgs", ".", "-v")
 	if code != 1 {
@@ -36,7 +97,8 @@ func TestBadModFails(t *testing.T) {
 }
 
 // TestJSONSchema locks the -json output to the shared diagjson shape:
-// exactly the five agreed keys per record.
+// exactly the five agreed keys per record, and only bounds-check records
+// for a module whose one fault is a retained bounds check.
 func TestJSONSchema(t *testing.T) {
 	code, out, stderr := runCmd(t, "-dir", "testdata/badmod", "-pkgs", ".", "-json")
 	if code != 1 {
@@ -58,14 +120,15 @@ func TestJSONSchema(t *testing.T) {
 		if len(r) != 5 {
 			t.Errorf("record has %d keys, want exactly 5: %v", len(r), r)
 		}
-		if r["analyzer"] != "bcegate" || r["kind"] != "bounds-check" {
+		if r["analyzer"] != "allocgate" || r["kind"] != "bounds-check" {
 			t.Errorf("unexpected analyzer/kind: %v", r)
 		}
 	}
 }
 
 // TestEngineKernelsClean runs the real gate: every //treelint:plain batch
-// kernel in internal/core and internal/encoding must be bounds-check-free.
+// kernel in internal/core, internal/encoding and internal/stackeval must be
+// bounds-check-free.
 func TestEngineKernelsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("recompiles the kernel packages; skipped in -short")

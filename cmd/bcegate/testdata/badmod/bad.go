@@ -1,7 +1,7 @@
-// Package badmod is the bcegate negative fixture: a miniature kernel
+// Package badmod is the bounds-check negative fixture: a miniature kernel
 // package whose //treelint:plain StepBatch is written to defeat
-// bounds-check elimination, so the gate must fail on it. If bcegate ever
-// reports this module clean, the gate is broken.
+// bounds-check elimination, so the gate's bounds check must fail on it. If
+// allocgate ever reports this module bounds-check-free, the gate is broken.
 package badmod
 
 // M is a toy machine with the same flat-table shape as the real kernels.

@@ -8,8 +8,8 @@ package analysis
 // the package under analysis, plus locally-bound closures
 // (name := func(...){...}), produce edges. Interface dispatch, function
 // values passed around, and cross-package calls are invisible — the
-// compiler-output gates (cmd/bcegate, cmd/allocgate) backstop what the
-// AST cannot see.
+// compiler-diagnostic gate (cmd/allocgate) backstops what the AST cannot
+// see.
 
 import (
 	"go/ast"

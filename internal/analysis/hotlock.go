@@ -28,8 +28,9 @@ var HotLock = &Analyzer{
 }
 
 // hotRoots are the kernel entry points checked even without a
-// //treelint:plain marker — the names the paper's evaluation loop and the
-// streamqd daemon call per batch.
+// //treelint:plain marker — the batch kernels the coded drivers and the
+// chunk-parallel engine call per batch or segment, and the per-event
+// Select kernel.
 var hotRoots = map[string]bool{
 	"StepBatch":            true,
 	"SelectBatch":          true,

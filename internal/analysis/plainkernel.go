@@ -26,9 +26,9 @@ import (
 // function whose name ends in "Plain" (the kernel naming convention) must
 // carry the directive, and every implementation of the coded batch kernels
 // (StepBatch, SelectBatch, SimulateSegmentCoded) must be annotated either
-// //treelint:plain or //treelint:partial with a reason — the
-// bounds-check-elimination gate (cmd/bcegate) derives its target set from
-// these annotations, so an unannotated kernel would silently escape it.
+// //treelint:plain or //treelint:partial with a reason — the bounds check
+// of the compiler-diagnostic gate (cmd/allocgate) derives its target set
+// from these annotations, so an unannotated kernel would silently escape it.
 var PlainKernel = &Analyzer{
 	Name: "plainkernel",
 	Doc: "functions marked //treelint:plain must not reference obs, call time.Now or " +
@@ -38,8 +38,8 @@ var PlainKernel = &Analyzer{
 }
 
 // batchKernels are the coded batch-kernel methods whose implementations
-// must be explicitly plain or partial; cmd/bcegate gates exactly the plain
-// ones.
+// must be explicitly plain or partial; cmd/allocgate's bounds check gates
+// exactly the plain ones.
 var batchKernels = map[string]bool{
 	"StepBatch":            true,
 	"SelectBatch":          true,
@@ -95,7 +95,7 @@ func checkBatchKernel(pass *Pass, f *ast.File, fn *ast.FuncDecl) {
 	}
 	if !pass.FuncHasDirective(f, fn, "partial") {
 		pass.Reportf(fn.Name.Pos(),
-			"batch kernel %s must be marked //treelint:plain (gated by cmd/bcegate) or //treelint:partial <reason>",
+			"batch kernel %s must be marked //treelint:plain (gated by cmd/allocgate) or //treelint:partial <reason>",
 			fn.Name.Name)
 		return
 	}

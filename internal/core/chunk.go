@@ -150,7 +150,7 @@ func NewCandSet(states int) *CandSet {
 // for the caller to fill. The final slice expression is guarded so the
 // bounds check vanishes: Add inlines into the plain batch kernels, and an
 // unchecked c.Masks[n:n+c.Words] would surface there as a compiler bounds
-// check cmd/bcegate rejects.
+// check cmd/allocgate rejects.
 //
 //treelint:partial candidate growth is O(matches), not O(events), and amortizes across segments when the CandSet is reused
 func (c *CandSet) Add(idx, opens, depth int32) []uint64 {
@@ -192,19 +192,11 @@ func (s candSorter) Swap(i, j int) {
 	}
 }
 
-// SegmentKernel is implemented by machines with a vectorized one-pass
-// all-states segment simulation — the hot path of internal/parallel. The
-// generic fallback (SimulateSegmentGeneric) runs one pass per control state
-// through the Chunkable interface instead.
-type SegmentKernel interface {
-	// SimulateSegment runs the segment from every control state at once,
-	// appending match candidates to cands when it is non-nil.
-	SimulateSegment(events []encoding.Event, cands *CandSet) []SegmentExit
-}
-
-// SimulateSegmentGeneric is the interface-driven fallback: one pass per
-// control state. Correct for any Chunkable; used when the machine has no
-// vectorized kernel (EL/AL wrappers, table DRAs).
+// SimulateSegmentGeneric is the interface-driven reference: one pass per
+// control state through the Chunkable interface. Correct for any Chunkable;
+// the engine uses it for machines without a coded segment kernel (the EL/AL
+// wrappers, table DRAs), and the tests use it as the oracle the coded
+// kernels are checked against.
 //
 //treelint:plain
 func SimulateSegmentGeneric(m Chunkable, seg []encoding.Event, cands *CandSet) []SegmentExit {
@@ -293,79 +285,6 @@ func (ev *tagEvaluator) ApplySegment(x SegmentExit, delta int) {
 	ev.state = x.State
 }
 
-// SimulateSegment implements SegmentKernel: one pass moving all states in
-// lockstep. An unknown label poisons every run identically, exactly as the
-// sequential evaluator would from any state.
-//
-//treelint:plain
-func (ev *tagEvaluator) SimulateSegment(events []encoding.Event, cands *CandSet) []SegmentExit {
-	t := ev.t
-	n := t.NumStates()
-	//treelint:partial per-segment all-states scratch, O(states) once per segment
-	cur := make([]int32, n)
-	for i := range cur {
-		cur[i] = int32(i)
-	}
-	var opens, depth int32
-	poisoned := false
-	for idx := 0; idx < len(events); idx++ {
-		e := events[idx]
-		if e.Kind == encoding.Close {
-			depth--
-			if t.CloseAny != nil {
-				row := t.CloseAny
-				for i := range cur {
-					cur[i] = int32(row[cur[i]])
-				}
-				continue
-			}
-			sym, ok := ev.res.ID(e.Label)
-			if !ok {
-				poisoned = true
-				break
-			}
-			rows := t.CloseT
-			for i := range cur {
-				cur[i] = int32(rows[cur[i]][sym])
-			}
-			continue
-		}
-		sym, ok := ev.res.ID(e.Label)
-		if !ok {
-			poisoned = true
-			break
-		}
-		o := opens
-		opens++
-		depth++
-		rows := t.OpenT
-		for i := range cur {
-			cur[i] = int32(rows[cur[i]][sym])
-		}
-		if cands != nil {
-			var mask []uint64
-			for i := range cur {
-				if t.Accept[cur[i]] {
-					if mask == nil {
-						mask = cands.Add(int32(idx), o, depth)
-					}
-					mask[i/64] |= 1 << uint(i%64)
-				}
-			}
-		}
-	}
-	//treelint:partial per-segment exit vector, O(states) once per segment
-	exits := make([]SegmentExit, n)
-	for i := range exits {
-		if poisoned {
-			exits[i] = SegmentExit{State: -1}
-		} else {
-			exits[i] = SegmentExit{State: int(cur[i])}
-		}
-	}
-	return exits
-}
-
 // --- StacklessEvaluator (Lemma 3.8 / Theorem B.2 machines) ---
 
 // ChunkStates implements Chunkable.
@@ -445,116 +364,6 @@ func (ev *StacklessEvaluator) ApplySegment(x SegmentExit, delta int) {
 	}
 	ev.state = x.State
 	ev.depth += delta
-}
-
-// SimulateSegment implements SegmentKernel: all control states advance in
-// lockstep, each with its own record stack (pushes depend on the tracked
-// state). Within a segment the depth never drops below the entry, so every
-// pop involves a record pushed inside the segment and relative depths
-// resolve every comparison.
-func (ev *StacklessEvaluator) SimulateSegment(events []encoding.Event, cands *CandSet) []SegmentExit {
-	A := ev.an.D
-	comp := ev.an.Comp
-	n := A.NumStates()
-	st := make([]int32, n)
-	dead := make([]bool, n)
-	recs := make([][]record, n)
-	for i := range st {
-		st[i] = int32(i)
-	}
-	// Machine-level metrics are accumulated in plain locals (an
-	// unconditional register increment beats a per-state branch) and
-	// flushed once at segment end, so a collector — attached or not —
-	// costs the inner loop nothing.
-	var loads, compares int64
-	var opens, depth int32
-	live := n
-	for idx := 0; idx < len(events) && live > 0; idx++ {
-		e := events[idx]
-		if e.Kind == encoding.Open {
-			sym, ok := ev.res.ID(e.Label)
-			if !ok {
-				live = 0
-				break
-			}
-			o := opens
-			opens++
-			depth++
-			var mask []uint64
-			for i := range st {
-				if dead[i] {
-					continue
-				}
-				s := int(st[i])
-				next := A.Delta[s][sym]
-				if comp[next] != comp[s] {
-					recs[i] = append(recs[i], record{depth: int(depth), state: s})
-					loads++
-				}
-				st[i] = int32(next)
-				if cands != nil && A.Accept[next] {
-					if mask == nil {
-						mask = cands.Add(int32(idx), o, depth)
-					}
-					mask[i/64] |= 1 << uint(i%64)
-				}
-			}
-			continue
-		}
-		depth--
-		sym, known := -1, true
-		if !ev.blind {
-			// Resolved lazily: a run that pops at this close never consults
-			// the label, so an unknown label only kills non-popping runs
-			// (mirroring the sequential Step's order of checks).
-			sym, known = ev.res.ID(e.Label)
-		}
-		for i := range st {
-			if dead[i] {
-				continue
-			}
-			if nr := len(recs[i]); nr > 0 {
-				compares++
-				if int(depth) < recs[i][nr-1].depth {
-					st[i] = int32(recs[i][nr-1].state)
-					recs[i] = recs[i][:nr-1]
-					continue
-				}
-			}
-			var cand int
-			if ev.blind {
-				cand = ev.backAny[st[i]]
-			} else if known {
-				cand = ev.back[sym][st[i]]
-			} else {
-				cand = -1
-			}
-			if cand < 0 {
-				dead[i] = true
-				live--
-				continue
-			}
-			st[i] = int32(cand)
-		}
-	}
-	if ev.obs != nil {
-		ev.obs.RegisterLoads.Add(loads)
-		ev.obs.RegisterCompares.Add(compares)
-	}
-	exits := make([]SegmentExit, n)
-	for i := range exits {
-		if live == 0 || dead[i] {
-			exits[i] = SegmentExit{State: -1}
-			continue
-		}
-		var rc []record
-		if len(recs[i]) > 0 {
-			rc = make([]record, len(recs[i]))
-			copy(rc, recs[i])
-		}
-		exits[i] = SegmentExit{State: int(st[i]), Regs: rc}
-	}
-	return exits
 }
 
 // --- Table DRAs (Definition 2.1) ---
@@ -698,7 +507,11 @@ func (ev *draEvaluator) stepSeg(e encoding.Event) {
 
 // --- EL wrapper (Theorem 3.1 proof construction) ---
 
-// chunkableEL is elWrapper over a Chunkable inner machine. Control states:
+// chunkableEL turns a machine realizing QL into a recognizer of EL, per the
+// proof of Theorem 3.1: move to an all-accepting sink when a closing tag
+// immediately follows an opening tag read in an accepting state — i.e. when
+// a selected leaf is detected. It is chunkable like its inner machine.
+// Control states:
 // 0..n-1 (not matched, previous open not selected, inner state), n..2n-1
 // (not matched, previous open selected), 2n (matched — absorbing, inner
 // frozen). A poisoned inner with matched unset collapses to -1: selection
@@ -810,7 +623,9 @@ func (w *chunkableEL) ApplySegment(x SegmentExit, delta int) {
 
 // --- AL wrapper (Theorem 3.2(3) proof construction) ---
 
-// chunkableAL is alWrapper over a Chunkable inner machine. Unlike EL, a
+// chunkableAL is the dual construction from the proof of Theorem 3.2(3):
+// move to an all-rejecting sink when a leaf is read in a rejecting state.
+// It is chunkable like its inner machine. Unlike EL, a
 // dead inner must be an explicit control state: the inner can poison on the
 // final closing tag with the previous open accepted, leaving the wrapper
 // ACCEPTING — so collapsing inner-death to -1 would diverge from the
@@ -844,7 +659,8 @@ func (w *chunkableAL) Step(e encoding.Event) {
 		return
 	}
 	if w.deadInner {
-		// Shadow of alWrapper with a poisoned inner: never accepting.
+		// A poisoned inner never accepts again: every later leaf is
+		// rejected.
 		w.prevOpenRejected = e.Kind == encoding.Open
 		return
 	}

@@ -12,10 +12,11 @@ import (
 // their transitions into flat state×symbol tables implement BatchEvaluator;
 // the coded drivers below batch the event stream through encoding.Batcher
 // and step whole batches per call, eliminating the per-event interface
-// dispatch and label hashing of the string pipeline. Machines that cannot
-// compile (the pushdown fallback, the EL/AL wrappers) fall back to the
-// generic Select/Recognize path — the coded entry points are drop-in
-// replacements with identical results either way.
+// dispatch and label hashing of the string pipeline. Every machine the
+// public API compiles for a query — tag DFA, stackless DRA and pushdown —
+// is a QueryMachine; machines that do not compile (the EL/AL wrappers)
+// fall back to the generic Select/Recognize path, so the coded entry points
+// are drop-in replacements with identical results either way.
 
 // BatchEvaluator is the compiled contract: an Evaluator that also steps
 // dense symbol-coded batches. StepBatch(b) must be equivalent to Step on
@@ -35,13 +36,24 @@ type BatchEvaluator interface {
 	SelectBatch(batch []encoding.CodedEvent, hits []int32) []int32
 }
 
-// CodedSegmentKernel is SegmentKernel over coded events: the all-states
-// segment simulation of the chunk-parallel engine with the label resolution
-// hoisted out (internal/parallel codes the buffered stream once and hands
-// each fork coded segments).
+// CodedSegmentKernel is the one-pass all-states segment simulation of the
+// chunk-parallel engine over coded events (internal/parallel codes the
+// buffered stream once and hands each fork coded segments). It must agree
+// with SimulateSegmentGeneric on the decoded segment.
 type CodedSegmentKernel interface {
-	// SimulateSegmentCoded is SimulateSegment over a coded segment.
+	// SimulateSegmentCoded runs the segment from every control state at
+	// once, appending match candidates to cands when it is non-nil.
 	SimulateSegmentCoded(seg []encoding.CodedEvent, cands *CandSet) []SegmentExit
+}
+
+// QueryMachine is a node-selecting machine of the public API: every tier
+// the query compiler picks (tag DFA, stackless DRA, pushdown) steps coded
+// batches, chunks, and summarizes coded segments, so a query run always
+// takes the compiled pipeline.
+type QueryMachine interface {
+	BatchEvaluator
+	Chunkable
+	CodedSegmentKernel
 }
 
 // CodedCapable reports whether ev runs the compiled pipeline — used by the

@@ -285,9 +285,9 @@ func TestCodedStepInterleave(t *testing.T) {
 	}
 }
 
-// SimulateSegment parity: the coded all-states kernels must produce the
-// same exits and candidate sets as the string kernels, unknown labels and
-// all.
+// Segment-kernel parity: the coded all-states kernels must produce the
+// same exits and candidate sets as the one-pass-per-state reference
+// SimulateSegmentGeneric, unknown labels and all.
 func TestCodedSegmentKernelParity(t *testing.T) {
 	an3a := classify.Analyze(paperfigs.Fig3a())
 	an3c := classify.Analyze(paperfigs.Fig3c())
@@ -318,7 +318,6 @@ func TestCodedSegmentKernelParity(t *testing.T) {
 		{"stackless/term", stB, true},
 	}
 	for _, c := range cases {
-		sk := c.ev.(SegmentKernel)
 		ck := c.ev.(CodedSegmentKernel)
 		ch := c.ev.(Chunkable)
 		be := c.ev.(BatchEvaluator)
@@ -327,14 +326,14 @@ func TestCodedSegmentKernelParity(t *testing.T) {
 			seg := randomEvents(rng, c.blind, 1+rng.Intn(30))
 			want := NewCandSet(ch.ChunkStates())
 			got := NewCandSet(ch.ChunkStates())
-			exWant := sk.SimulateSegment(seg, want)
+			exWant := SimulateSegmentGeneric(ch.Fork(), seg, want)
 			exGot := ck.SimulateSegmentCoded(encoding.CodeEvents(alphabet.NewCoder(be.CodeAlphabet()), seg, nil), got)
 			if len(exWant) != len(exGot) {
 				t.Fatalf("%s: exit count %d vs %d", c.name, len(exWant), len(exGot))
 			}
 			for q := range exWant {
 				if exWant[q].State != exGot[q].State {
-					t.Fatalf("%s: exit[%d] state %d (string) vs %d (coded) on %v", c.name, q, exWant[q].State, exGot[q].State, seg)
+					t.Fatalf("%s: exit[%d] state %d (generic) vs %d (coded) on %v", c.name, q, exWant[q].State, exGot[q].State, seg)
 				}
 				rw, _ := exWant[q].Regs.([]record)
 				rg, _ := exGot[q].Regs.([]record)
@@ -348,7 +347,7 @@ func TestCodedSegmentKernelParity(t *testing.T) {
 				}
 			}
 			if len(want.Cands) != len(got.Cands) {
-				t.Fatalf("%s: %d candidates (string) vs %d (coded) on %v", c.name, len(want.Cands), len(got.Cands), seg)
+				t.Fatalf("%s: %d candidates (generic) vs %d (coded) on %v", c.name, len(want.Cands), len(got.Cands), seg)
 			}
 			for j := range want.Cands {
 				if want.Cands[j] != got.Cands[j] {

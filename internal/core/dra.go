@@ -336,7 +336,7 @@ func b2i(b bool) int {
 // drivers Reset first, which clears segment mode). Compares are counted
 // exactly as Step does — 2·Regs per non-poisoned event — and loads stay
 // uncounted on the sequential path, also as Step does. The uint guard on
-// the table index is the BCE shape cmd/bcegate enforces; it cannot fail on
+// the table index is the BCE shape cmd/allocgate enforces; it cannot fail on
 // a table tablecheck proved well formed, and poisons on a corrupted one.
 //
 //treelint:plain

@@ -201,7 +201,7 @@ type tagEvaluator struct {
 }
 
 // Evaluator returns a fresh streaming evaluator.
-func (t *TagDFA) Evaluator() Evaluator {
+func (t *TagDFA) Evaluator() QueryMachine {
 	return &tagEvaluator{t: t, res: alphabet.NewResolver(t.Alphabet), state: t.Start}
 }
 
@@ -260,7 +260,7 @@ func (ev *tagEvaluator) CodeAlphabet() *alphabet.Alphabet { return ev.t.Alphabet
 // the unknown columns and mapped back to the poisoned flag afterwards (the
 // frozen pre-poison state is unobservable either way: Accepting and the
 // chunk methods check the flag first). The uint index guard is shaped for
-// bounds-check elimination (cmd/bcegate holds this loop to zero compiler
+// bounds-check elimination (cmd/allocgate holds this loop to zero compiler
 // checks); on a table tablecheck proved well formed it never fails, and on
 // a corrupted one it degrades to the dead state instead of panicking.
 //
@@ -314,10 +314,10 @@ func (ev *tagEvaluator) SelectBatch(batch []encoding.CodedEvent, hits []int32) [
 	return hits
 }
 
-// SimulateSegmentCoded implements CodedSegmentKernel: the lockstep all-states
-// pass of SimulateSegment over a coded segment. Unknown labels drive every
-// run into the dead row (never accepting), which the exit mapping reports as
-// the poisoned exit -1 — identical to the string kernel's early break.
+// SimulateSegmentCoded implements CodedSegmentKernel: one pass moving all
+// states in lockstep. Unknown labels drive every run into the dead row
+// (never accepting), which the exit mapping reports as the poisoned exit -1,
+// exactly as the sequential evaluator poisons from any state.
 //
 //treelint:plain
 func (ev *tagEvaluator) SimulateSegmentCoded(seg []encoding.CodedEvent, cands *CandSet) []SegmentExit {

@@ -1,6 +1,6 @@
 // Package diagjson defines the one diagnostic record shape every stackless
-// CLI emits under -json: dralint, treelint, tablecheck, bcegate and
-// allocgate all print a JSON array of Records, so downstream tooling (CI
+// CLI emits under -json: dralint, treelint, tablecheck and allocgate all
+// print a JSON array of Records, so downstream tooling (CI
 // annotators, editors) parses a single schema regardless of which gate
 // produced the finding.
 package diagjson
@@ -19,10 +19,11 @@ type Record struct {
 	// anchored to a line, e.g. a whole-table property).
 	Line int `json:"line"`
 	// Analyzer names the tool that produced the record: "dralint",
-	// "treelint", "tablecheck", "bcegate" or "allocgate".
+	// "treelint", "tablecheck" or "allocgate".
 	Analyzer string `json:"analyzer"`
 	// Kind is the tool-specific finding class (an analyzer name for
-	// treelint, a check kind for tablecheck, "escape" for allocgate, ...).
+	// treelint, a check kind for tablecheck, "escape" or "bounds-check"
+	// for allocgate, ...).
 	Kind string `json:"kind"`
 	// Message is the human-readable diagnostic.
 	Message string `json:"message"`

@@ -39,9 +39,9 @@ func SplitPoints(n, chunks int) []int {
 	return cuts
 }
 
-// sanitizeCuts sorts, bounds and deduplicates explicit cut positions —
-// fuzzers hand in arbitrary ints.
-func sanitizeCuts(cuts []int, n int) []int {
+// SanitizeCuts sorts, bounds and deduplicates explicit cut positions
+// against a stream of n events — fuzzers hand in arbitrary ints.
+func SanitizeCuts(cuts []int, n int) []int {
 	out := make([]int, 0, len(cuts))
 	for _, c := range cuts {
 		if c > 0 && c < n {
@@ -109,13 +109,12 @@ func cutPieces(events []encoding.Event, lo, hi int, policy core.CutPolicy) []pie
 
 // summarize simulates every segment piece of a chunk on a forked machine,
 // filling exits, opens/delta and (when wantMatches) the candidate sets.
-// When the stream has been coded (coded non-nil, index-aligned with events)
-// and the machine has a coded kernel, segments run through it — the hot
-// path of the compiled pipeline under parallel evaluation.
+// When the stream has been coded (coded non-nil, index-aligned with events:
+// the machine has a coded kernel), segments run through the coded kernel —
+// the hot path of the compiled pipeline under parallel evaluation; other
+// machines take the one-pass-per-state SimulateSegmentGeneric.
 func summarize(m core.Chunkable, events []encoding.Event, coded []encoding.CodedEvent, pieces []piece, wantMatches bool) {
-	ckernel, hasCoded := m.(core.CodedSegmentKernel)
-	hasCoded = hasCoded && coded != nil
-	kernel, hasKernel := m.(core.SegmentKernel)
+	ckernel, _ := m.(core.CodedSegmentKernel)
 	for pi := range pieces {
 		pc := &pieces[pi]
 		if !pc.seg {
@@ -134,12 +133,9 @@ func summarize(m core.Chunkable, events []encoding.Event, coded []encoding.Coded
 		if wantMatches {
 			cands = core.NewCandSet(m.ChunkStates())
 		}
-		switch {
-		case hasCoded:
+		if coded != nil {
 			pc.exits = ckernel.SimulateSegmentCoded(coded[pc.lo:pc.hi], cands)
-		case hasKernel:
-			pc.exits = kernel.SimulateSegment(seg, cands)
-		default:
+		} else {
 			pc.exits = core.SimulateSegmentGeneric(m, seg, cands)
 		}
 		pc.cands = cands
@@ -275,7 +271,7 @@ func runSequentialCoded(be core.BatchEvaluator, events []encoding.Event, coded [
 func run(p *Pool, m core.Chunkable, events []encoding.Event, cuts []int, c *obs.Collector, fn func(core.Match)) {
 	policy := m.Cut()
 	requested := len(cuts)
-	cuts = sanitizeCuts(cuts, len(events))
+	cuts = SanitizeCuts(cuts, len(events))
 	if c != nil {
 		// Machines batch per-run metrics (register loads, pool hits) in
 		// plain fields; drain them however the run exits.

@@ -296,7 +296,7 @@ func TestParallelRecognizeELAL(t *testing.T) {
 	} {
 		expr := tc.expr
 		an := classify.Analyze(rex.MustCompile(expr, tc.alph))
-		var inner core.Evaluator
+		var inner core.Chunkable
 		if ev, err := core.StacklessQL(an); err == nil {
 			inner = ev
 		} else if tag, rerr := core.RegisterlessQL(an); rerr == nil {
@@ -340,7 +340,7 @@ func diffRecognize(t *testing.T, p *parallel.Pool, name string, wrapped, oracle 
 	}
 }
 
-// TestParallelALDeadInnerOnFinalClose pins the alWrapper edge case that
+// TestParallelALDeadInnerOnFinalClose pins the AL wrapper edge case that
 // forced the explicit dead-inner control states: a blind stackless inner
 // that poisons on the very last closing tag (back-table miss) with the
 // previous open accepted leaves AL accepting — collapsing the dead inner

@@ -60,11 +60,11 @@ type MultiStats struct {
 	// Workers used for chunk-parallel evaluation (1 = sequential pass);
 	// Options.Workers clamped to GOMAXPROCS, as in Stats.
 	Workers int
-	// Pipeline actually used: PipelineCoded when every query's machine ran
-	// the compiled symbol-coded pipeline, PipelineString when at least one
-	// query took the per-event path. The sequential coded fast path steps
-	// each machine in whole batches and requires all machines to compile;
-	// instrumented runs stay on it, flushing counters per batch.
+	// Pipeline actually used: PipelineCoded for every run but a sequential
+	// Earliest one, which takes the per-event PipelineString pass. Every
+	// query machine compiles, so the sequential coded pass steps each
+	// machine (or product) in whole batches; instrumented runs stay on it,
+	// flushing counters per batch.
 	Pipeline Pipeline
 	// ProductGroups is the number of product automata the query set was
 	// merged into (0 when every query ran loose — singletons, incompatible
@@ -103,7 +103,7 @@ func (m *MultiQuery) selectSource(src encoding.Source, enc Encoding, opt Options
 		Strategies: make([]Strategy, len(m.queries)),
 		Matches:    make([]int, len(m.queries)),
 	}
-	evs := make([]core.Evaluator, len(m.queries))
+	evs := make([]core.QueryMachine, len(m.queries))
 	for i, q := range m.queries {
 		var err error
 		if opt.ForceStack {
@@ -134,7 +134,7 @@ func (m *MultiQuery) selectSource(src encoding.Source, enc Encoding, opt Options
 		return m.selectParallel(src, opt, evs, plan, stats, fn)
 	}
 	stats.Workers = 1
-	if allCoded(evs) && !opt.Earliest {
+	if !opt.Earliest {
 		plan := m.plan(evs, c)
 		stats.ProductGroups = len(plan.Groups)
 		stats.Pipeline = PipelineCoded
@@ -217,23 +217,17 @@ func (m *MultiQuery) selectSource(src encoding.Source, enc Encoding, opt Options
 	}
 }
 
-// allCoded reports whether every machine supports the compiled pipeline.
-func allCoded(evs []core.Evaluator) bool {
-	for _, ev := range evs {
-		if !core.CodedCapable(ev) {
-			return false
-		}
-	}
-	return true
-}
-
 // plan groups the evaluators into product groups (internal/product) through
 // the shared LRU cache, or fans everything out when products are disabled.
-func (m *MultiQuery) plan(evs []core.Evaluator, c *obs.Collector) product.Plan {
+func (m *MultiQuery) plan(evs []core.QueryMachine, c *obs.Collector) product.Plan {
 	if m.noProduct {
 		return product.FanoutPlan(len(evs))
 	}
-	return product.BuildPlan(evs, product.Shared(), 0, c)
+	machines := make([]core.Evaluator, len(evs))
+	for i, ev := range evs {
+		machines[i] = ev
+	}
+	return product.BuildPlan(machines, product.Shared(), 0, c)
 }
 
 // selectBatched is the compiled fast path of the sequential multi-query
@@ -249,15 +243,13 @@ func (m *MultiQuery) plan(evs []core.Evaluator, c *obs.Collector) product.Plan {
 // counter for counter what the per-event pass reports.
 //
 //treelint:partial instrumented runs flush batched counters into obs
-func (m *MultiQuery) selectBatched(src encoding.Source, evs []core.Evaluator, plan product.Plan, c *obs.Collector, stats MultiStats, fn func(MultiMatch)) (MultiStats, error) {
+func (m *MultiQuery) selectBatched(src encoding.Source, evs []core.QueryMachine, plan product.Plan, c *obs.Collector, stats MultiStats, fn func(MultiMatch)) (MultiStats, error) {
 	n := len(evs)
 	loose := plan.Loose
-	bes := make([]core.BatchEvaluator, len(loose))
 	coders := make([]*alphabet.Coder, len(loose))
 	coded := make([][]encoding.CodedEvent, len(loose))
 	for li, q := range loose {
-		bes[li] = evs[q].(core.BatchEvaluator)
-		coders[li] = alphabet.NewCoder(bes[li].CodeAlphabet())
+		coders[li] = alphabet.NewCoder(evs[q].CodeAlphabet())
 	}
 	groups := plan.Groups
 	gevs := make([]*core.ProductEvaluator, len(groups))
@@ -286,10 +278,9 @@ func (m *MultiQuery) selectBatched(src encoding.Source, evs []core.Evaluator, pl
 		if len(batch) > 0 {
 			stats.Events += len(batch)
 			anyHits := false
-			for li := range bes {
-				q := loose[li]
+			for li, q := range loose {
 				coded[li] = tags.Code(coders[li], coded[li])
-				hits[q] = bes[li].SelectBatch(coded[li], hits[q][:0])
+				hits[q] = evs[q].SelectBatch(coded[li], hits[q][:0])
 				next[q] = 0
 				anyHits = anyHits || len(hits[q]) > 0
 			}
@@ -354,14 +345,14 @@ func (m *MultiQuery) selectBatched(src encoding.Source, evs []core.Evaluator, pl
 	}
 }
 
-// selectParallel fans the product groups and the loose queries — and, for
-// chunkable machines, their chunks — across the shared worker pool, then
-// merges the per-query match streams back into the exact emission order of
-// the sequential pass (position, then query index). A product group is one
-// chunk-parallel run for its whole member set (internal/product's
-// two-phase driver); each query of the group owns its own demuxed stream,
-// so the merge below is oblivious to how a stream was produced.
-func (m *MultiQuery) selectParallel(src encoding.Source, opt Options, evs []core.Evaluator, plan product.Plan, stats MultiStats, fn func(MultiMatch)) (MultiStats, error) {
+// selectParallel fans the product groups and the loose queries — and
+// their chunks — across the shared worker pool, then merges the per-query
+// match streams back into the exact emission order of the sequential pass
+// (position, then query index). A product group is one chunk-parallel run
+// for its whole member set (internal/product's two-phase driver); each
+// query of the group owns its own demuxed stream, so the merge below is
+// oblivious to how a stream was produced.
+func (m *MultiQuery) selectParallel(src encoding.Source, opt Options, evs []core.QueryMachine, plan product.Plan, stats MultiStats, fn func(MultiMatch)) (MultiStats, error) {
 	c := opt.Collector
 	events, err := encoding.ReadAll(src)
 	stats.Events = len(events)
@@ -373,16 +364,6 @@ func (m *MultiQuery) selectParallel(src encoding.Source, opt Options, evs []core
 	}
 	stats.Workers = opt.Workers
 	stats.Pipeline = PipelineCoded
-	for _, i := range plan.Loose {
-		ev := evs[i]
-		if cm, ok := ev.(core.Chunkable); ok {
-			if !parallel.Coded(cm) {
-				stats.Pipeline = PipelineString
-			}
-		} else if !core.CodedCapable(ev) {
-			stats.Pipeline = PipelineString
-		}
-	}
 	perQuery := make([][]Match, len(evs))
 	var wg sync.WaitGroup
 	for gi := range plan.Groups {
@@ -399,21 +380,13 @@ func (m *MultiQuery) selectParallel(src encoding.Source, opt Options, evs []core
 		}()
 	}
 	for _, i := range plan.Loose {
-		i, ev := i, evs[i]
+		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			collect := func(cm core.Match) {
+			parallel.SelectObs(parallel.Shared(), evs[i], events, opt.Workers, c, func(cm core.Match) {
 				perQuery[i] = append(perQuery[i], Match{Pos: cm.Pos, Depth: cm.Depth, Label: cm.Label})
-			}
-			if cm, ok := ev.(core.Chunkable); ok {
-				parallel.SelectObs(parallel.Shared(), cm, events, opt.Workers, c, collect)
-				return
-			}
-			if c != nil {
-				c.SeqFallbacks.Inc()
-			}
-			_, _ = core.SelectCodedObs(ev, c, encoding.NewSliceSource(events), collect)
+			})
 		}()
 	}
 	wg.Wait()

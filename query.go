@@ -174,8 +174,10 @@ func (q *Query) Report() string { return q.report.String() }
 // query is registerless under both encodings.
 func (q *Query) Explain() []string { return q.an.Explanations(q.report) }
 
-// queryEvaluator picks the cheapest evaluator for node selection.
-func (q *Query) queryEvaluator(enc Encoding, allowStack bool) (core.Evaluator, Strategy, error) {
+// queryEvaluator picks the cheapest machine for node selection. Every tier
+// is a core.QueryMachine, so a Select run never leaves the coded pipeline
+// for lack of a kernel.
+func (q *Query) queryEvaluator(enc Encoding, allowStack bool) (core.QueryMachine, Strategy, error) {
 	switch enc {
 	case MarkupEncoding:
 		if tag, err := core.RegisterlessQL(q.an); err == nil {

@@ -84,10 +84,11 @@ type Stats struct {
 	// count — Options.Workers clamped to GOMAXPROCS — for a chunk-parallel
 	// one.
 	Workers int
-	// Pipeline actually used: PipelineCoded when the chosen machine
-	// compiled to the symbol-coded batch pipeline (dense transition
-	// tables, see DESIGN.md §11), PipelineString for the per-event
-	// label-resolving path.
+	// Pipeline actually used: PipelineCoded when the run stepped the
+	// symbol-coded batch pipeline (dense transition tables, see DESIGN.md
+	// §11), PipelineString for the per-event label-resolving path. Select
+	// runs are coded unless sequential with Earliest set; Recognize runs
+	// are string on the EL/AL wrappers (stackless and stack tiers).
 	Pipeline Pipeline
 	// Chunks the stream was split into: 1 for any sequential pass,
 	// including parallel requests that degraded (see Fallback).
@@ -96,8 +97,9 @@ type Stats struct {
 	// "all") when chunk-parallel evaluation was requested; empty otherwise.
 	CutPolicy string
 	// Fallback qualifies how a Workers>1 request actually ran.
-	// Sequential degradations: "strategy" (the machine is not chunkable —
-	// the synopsis EL machine), "cutall" (unrestricted DRA: every event
+	// Sequential degradations: "strategy" (Recognize only: the machine is
+	// not chunkable — the synopsis EL machine and its AL negation; every
+	// Select machine chunks), "cutall" (unrestricted DRA: every event
 	// is a boundary), "short" (too few events to cut), or "deep" (the
 	// pushdown's speculative chunking was not viable: the stream's depth
 	// is too large against the chunk size, see
@@ -207,7 +209,7 @@ func (q *Query) selectSource(src encoding.Source, enc Encoding, opt Options, fn 
 	src = opt.guard(src)
 	opt.Workers = effectiveWorkers(opt.Workers)
 	c := opt.Collector
-	var ev core.Evaluator
+	var ev core.QueryMachine
 	var st Strategy
 	var err error
 	if opt.ForceStack {
@@ -224,58 +226,26 @@ func (q *Query) selectSource(src encoding.Source, enc Encoding, opt Options, fn 
 			c.StackFallbacks.Inc()
 		}
 	}
-	stats := Stats{Strategy: st, Workers: 1, Chunks: 1}
+	stats := Stats{Strategy: st, Workers: 1, Chunks: 1, Pipeline: PipelineCoded}
 	report := func(m core.Match) {
 		stats.Matches++
 		if fn != nil {
 			fn(Match{Pos: m.Pos, Depth: m.Depth, Label: m.Label})
 		}
 	}
-	if cm, ok := ev.(core.Chunkable); ok && opt.Workers > 1 {
-		if parallel.Coded(cm) {
-			stats.Pipeline = PipelineCoded
-		} else {
-			stats.Pipeline = PipelineString
-		}
+	if opt.Workers > 1 {
 		if opt.Earliest {
 			// The chunk-parallel engine buffers the stream and emits at
 			// the join; document order survives, but only the safe
 			// approximation's latency bound does.
 			stats.Earliest = EarliestApprox
 		}
-		events, err := encoding.ReadAll(src)
-		stats.Events = len(events)
+		events, err := bufferChunks(src, ev, opt.Workers, c, &stats)
 		if err != nil {
-			if c != nil {
-				c.Events.Add(int64(len(events)))
-			}
 			return stats, err
 		}
-		stats.Workers = opt.Workers
-		policy := cm.Cut()
-		stats.CutPolicy = policy.String()
-		cuts := parallel.SplitPoints(len(events), opt.Workers)
-		switch {
-		case policy == core.CutAll:
-			stats.Fallback = "cutall"
-		case len(cuts) == 0:
-			stats.Fallback = "short"
-		case policy == core.CutBoundedDepth && !parallel.SpeculationViable(events, len(cuts)+1):
-			stats.Fallback = "deep"
-		default:
-			stats.Chunks = len(cuts) + 1
-			if policy == core.CutBoundedDepth {
-				stats.Fallback = "speculative"
-			}
-		}
-		parallel.SelectObs(parallel.Shared(), cm, events, opt.Workers, c, report)
+		parallel.SelectObs(parallel.Shared(), ev, events, opt.Workers, c, report)
 		return stats, nil
-	}
-	if opt.Workers > 1 {
-		stats.Fallback = "strategy"
-		if c != nil {
-			c.SeqFallbacks.Inc()
-		}
 	}
 	if opt.Earliest {
 		// Earliest emission runs the per-event driver: matches emit at
@@ -287,14 +257,43 @@ func (q *Query) selectSource(src encoding.Source, enc Encoding, opt Options, fn 
 		stats.Events = events
 		return stats, err
 	}
-	if core.CodedCapable(ev) {
-		stats.Pipeline = PipelineCoded
-	} else {
-		stats.Pipeline = PipelineString
-	}
 	events, err := core.SelectCodedObs(ev, c, src, report)
 	stats.Events = events
 	return stats, err
+}
+
+// bufferChunks reads the whole stream for a chunk-parallel run of m over
+// the given number of workers and records in stats how the engine will
+// split it: Events, Workers, CutPolicy, Chunks and Fallback ("cutall",
+// "short", "deep" or "speculative"; see Stats.Fallback). The decision
+// mirrors internal/parallel's, which the run then makes itself.
+func bufferChunks(src encoding.Source, m core.Chunkable, workers int, c *obs.Collector, stats *Stats) ([]encoding.Event, error) {
+	events, err := encoding.ReadAll(src)
+	stats.Events = len(events)
+	if err != nil {
+		if c != nil {
+			c.Events.Add(int64(len(events)))
+		}
+		return nil, err
+	}
+	stats.Workers = workers
+	policy := m.Cut()
+	stats.CutPolicy = policy.String()
+	cuts := parallel.SplitPoints(len(events), workers)
+	switch {
+	case policy == core.CutAll:
+		stats.Fallback = "cutall"
+	case len(cuts) == 0:
+		stats.Fallback = "short"
+	case policy == core.CutBoundedDepth && !parallel.SpeculationViable(events, len(cuts)+1):
+		stats.Fallback = "deep"
+	default:
+		stats.Chunks = len(cuts) + 1
+		if policy == core.CutBoundedDepth {
+			stats.Fallback = "speculative"
+		}
+	}
+	return events, nil
 }
 
 // RecognizeEL streams an XML document and reports whether some branch's
@@ -344,37 +343,14 @@ func (q *Query) recognize(src encoding.Source, enc Encoding, opt Options,
 			c.StackFallbacks.Inc()
 		}
 	}
-	stats := Stats{Strategy: st, Workers: 1, Chunks: 1}
+	stats := Stats{Strategy: st, Workers: 1, Chunks: 1, Pipeline: PipelineString}
 	if cm, chunkable := ev.(core.Chunkable); chunkable && opt.Workers > 1 {
 		if parallel.Coded(cm) {
 			stats.Pipeline = PipelineCoded
-		} else {
-			stats.Pipeline = PipelineString
 		}
-		events, err := encoding.ReadAll(src)
-		stats.Events = len(events)
+		events, err := bufferChunks(src, cm, opt.Workers, c, &stats)
 		if err != nil {
-			if c != nil {
-				c.Events.Add(int64(len(events)))
-			}
 			return false, stats, err
-		}
-		stats.Workers = opt.Workers
-		policy := cm.Cut()
-		stats.CutPolicy = policy.String()
-		cuts := parallel.SplitPoints(len(events), opt.Workers)
-		switch {
-		case policy == core.CutAll:
-			stats.Fallback = "cutall"
-		case len(cuts) == 0:
-			stats.Fallback = "short"
-		case policy == core.CutBoundedDepth && !parallel.SpeculationViable(events, len(cuts)+1):
-			stats.Fallback = "deep"
-		default:
-			stats.Chunks = len(cuts) + 1
-			if policy == core.CutBoundedDepth {
-				stats.Fallback = "speculative"
-			}
 		}
 		return parallel.RecognizeObs(parallel.Shared(), cm, events, opt.Workers, c), stats, nil
 	}
@@ -386,13 +362,11 @@ func (q *Query) recognize(src encoding.Source, enc Encoding, opt Options,
 	}
 	if core.CodedCapable(ev) {
 		stats.Pipeline = PipelineCoded
-	} else {
-		stats.Pipeline = PipelineString
 	}
 	ok, err := core.RecognizeCodedObs(ev, c, src)
 	return ok, stats, err
 }
 
-func (q *Query) stackQuery() core.Evaluator { return stackeval.QL(q.an.D) }
-func (q *Query) stackEL() core.Evaluator    { return stackeval.EL(q.an.D) }
-func (q *Query) stackAL() core.Evaluator    { return stackeval.AL(q.an.D) }
+func (q *Query) stackQuery() core.QueryMachine { return stackeval.QL(q.an.D) }
+func (q *Query) stackEL() core.Evaluator       { return stackeval.EL(q.an.D) }
+func (q *Query) stackAL() core.Evaluator       { return stackeval.AL(q.an.D) }

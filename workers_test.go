@@ -1,6 +1,7 @@
 package stackless
 
 import (
+	"io"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -91,6 +92,135 @@ func TestOptionsWorkersRecognize(t *testing.T) {
 				}
 				if got != want {
 					t.Fatalf("doc %d workers %d: %v, want %v", i, w, got, want)
+				}
+			}
+		}
+	}
+}
+
+// shallowDocs is one shallow document (depth 3, 82 events) in both
+// encodings: deep enough to exercise every tier, shallow enough that the
+// pushdown's speculative chunking is viable at Workers=2.
+var shallowDocs = []struct {
+	enc Encoding
+	doc string
+}{
+	{MarkupEncoding, "<a>" + strings.Repeat("<b><c/></b>", 20) + "</a>"},
+	{TermEncoding, "a{" + strings.Repeat("b{c{}}", 20) + "}"},
+}
+
+// tierQueries are one query per tier, under both encodings and for QL, EL
+// and AL alike (over {a,b,c}).
+var tierQueries = []struct {
+	regex string
+	tier  Strategy
+}{
+	{"a.*b", Registerless},
+	{".*a.*b", Stackless},
+	{".*ab", Stack},
+}
+
+// TestRecognizeStats pins what Stats reports for Recognize over every tier,
+// both languages and both encodings, sequentially and at Workers=2. The
+// registerless recognizers (the synopsis machine and its AL negation) are
+// not chunkable and run coded with the "strategy" fallback; the stackless
+// and stack tiers run the EL/AL wrappers, which chunk but have no coded
+// kernels.
+func TestRecognizeStats(t *testing.T) {
+	withProcs(t, 8)
+	for _, tq := range tierQueries {
+		q := MustCompileRegex(tq.regex, abc)
+		for _, sd := range shallowDocs {
+			recs := map[string]func(io.Reader, Options) (bool, Stats, error){"EL": q.RecognizeEL, "AL": q.RecognizeAL}
+			if sd.enc == TermEncoding {
+				recs = map[string]func(io.Reader, Options) (bool, Stats, error){"EL": q.RecognizeELTerm, "AL": q.RecognizeALTerm}
+			}
+			for lang, rec := range recs {
+				name := tq.regex + "/" + lang + "/" + sd.enc.String()
+				want, seq, err := rec(strings.NewReader(sd.doc), Options{})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				wantPipe := PipelineString
+				if tq.tier == Registerless {
+					wantPipe = PipelineCoded
+				}
+				if seq.Strategy != tq.tier || seq.Pipeline != wantPipe || seq.Workers != 1 || seq.Chunks != 1 || seq.CutPolicy != "" || seq.Fallback != "" {
+					t.Errorf("%s Workers=1: stats %+v", name, seq)
+				}
+				got, par, err := rec(strings.NewReader(sd.doc), Options{Workers: 2})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got != want {
+					t.Errorf("%s Workers=2: %v, sequential %v", name, got, want)
+				}
+				if par.Strategy != tq.tier || par.Pipeline != wantPipe {
+					t.Errorf("%s Workers=2: stats %+v", name, par)
+				}
+				switch tq.tier {
+				case Registerless:
+					if par.Fallback != "strategy" || par.Chunks != 1 || par.Workers != 1 || par.CutPolicy != "" {
+						t.Errorf("%s Workers=2: want a sequential strategy fallback, got %+v", name, par)
+					}
+				case Stackless:
+					if par.Fallback != "" || par.Chunks != 2 || par.Workers != 2 || par.CutPolicy != "newmin" || par.Events != 82 {
+						t.Errorf("%s Workers=2: want an exact chunked run, got %+v", name, par)
+					}
+				case Stack:
+					if par.Fallback != "speculative" || par.Chunks != 2 || par.Workers != 2 || par.CutPolicy != "boundeddepth" || par.Events != 82 {
+						t.Errorf("%s Workers=2: want a speculative chunked run, got %+v", name, par)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSelectPipelineAlwaysCoded: every query machine compiles, so Select
+// and MultiQuery run the coded pipeline on every tier and encoding,
+// sequentially and chunked, unless a sequential run asks for Earliest.
+func TestSelectPipelineAlwaysCoded(t *testing.T) {
+	withProcs(t, 8)
+	qs := make([]*Query, len(tierQueries))
+	for i, tq := range tierQueries {
+		qs[i] = MustCompileRegex(tq.regex, abc)
+	}
+	mq, err := NewMultiQuery(qs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sd := range shallowDocs {
+		for _, workers := range []int{1, 2} {
+			for _, earliest := range []bool{false, true} {
+				opt := Options{Workers: workers, Earliest: earliest}
+				want := PipelineCoded
+				if earliest && workers == 1 {
+					want = PipelineString
+				}
+				for i, q := range qs {
+					sel := q.SelectXML
+					if sd.enc == TermEncoding {
+						sel = q.SelectTerm
+					}
+					st, err := sel(strings.NewReader(sd.doc), opt, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st.Strategy != tierQueries[i].tier || st.Pipeline != want {
+						t.Errorf("%s %s %+v: strategy %v pipeline %v, want %v %v", q, sd.enc, opt, st.Strategy, st.Pipeline, tierQueries[i].tier, want)
+					}
+				}
+				msel := mq.SelectXML
+				if sd.enc == TermEncoding {
+					msel = mq.SelectTerm
+				}
+				ms, err := msel(strings.NewReader(sd.doc), opt, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ms.Pipeline != want {
+					t.Errorf("MultiQuery %s %+v: pipeline %v, want %v", sd.enc, opt, ms.Pipeline, want)
 				}
 			}
 		}
