@@ -477,10 +477,10 @@ func BenchmarkStdXMLBridge(b *testing.B) {
 }
 
 // BenchmarkBridgeBatched drives the encoding/xml and encoding/json bridges
-// through the batched query paths: Query.SelectXMLFull and Query.SelectJSON
-// (the Batcher's per-event string coding) and MultiQuery.SelectJSON (the
-// TagBatcher's per-event interning). The bridges dominate the cost; the
-// benchmark watches the batching layer above them.
+// through the batched query paths: Query.SelectXMLFull, Query.SelectJSON
+// and MultiQuery.SelectJSON, all on the coded pass's TagBatcher with
+// per-event interning. The bridges dominate the cost; the benchmark
+// watches the batching layer above them.
 func BenchmarkBridgeBatched(b *testing.B) {
 	loadFixtures()
 	xq := MustCompileRegex(".*'category'.*'name'", []string{"catalog", "item", "name", "price", "category", "discount"})

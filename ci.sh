@@ -51,8 +51,10 @@ go run ./cmd/covercheck -min 80 -packages "$checkpkg" cover.out
 echo '== go test -race (internal) =='
 go test -race ./internal/...
 
-echo '== go test -race (observability contract) =='
-go test -race -run 'Obs|Earliest' .
+echo '== go test -race (observability, earliest, multi-query, workers, recognize) =='
+# The public batteries that drive the shared sequential passes and
+# MultiQuery's goroutine fan-out hardest, under the race detector.
+go test -race -run 'Obs|Earliest|Multi|Workers|Recognize' .
 
 echo '== e2ebench (vet + tests) =='
 # The end-to-end benchmark is its own module (e2ebench/, replace stackless

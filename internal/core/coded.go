@@ -1,7 +1,7 @@
 package core
 
 import (
-	"io"
+	"math/bits"
 
 	"stackless/internal/alphabet"
 	"stackless/internal/encoding"
@@ -10,13 +10,16 @@ import (
 
 // Compiled symbol-coded pipeline (DESIGN.md §11). Machines that can lower
 // their transitions into flat state×symbol tables implement BatchEvaluator;
-// the coded drivers below batch the event stream through encoding.Batcher
-// and step whole batches per call, eliminating the per-event interface
-// dispatch and label hashing of the string pipeline. Every machine the
-// public API compiles for a query — tag DFA, stackless DRA and pushdown —
-// is a QueryMachine; machines that do not compile (the EL/AL wrappers)
-// fall back to the generic Select/Recognize path, so the coded entry points
-// are drop-in replacements with identical results either way.
+// the coded pass below batches the event stream through
+// encoding.TagBatcher and steps whole batches per call, eliminating the
+// per-event interface dispatch and label hashing of the string pipeline.
+// It is the one sequential coded driver: a Query run is a set of one
+// machine, a MultiQuery run a set of loose machines and product groups.
+// Every machine the public API compiles for a query — tag DFA, stackless
+// DRA and pushdown — is a QueryMachine; machines that do not compile (the
+// EL/AL wrappers) fall back to the generic Select/Recognize path, so the
+// coded entry points are drop-in replacements with identical results
+// either way.
 
 // BatchEvaluator is the compiled contract: an Evaluator that also steps
 // dense symbol-coded batches. StepBatch(b) must be equivalent to Step on
@@ -70,178 +73,211 @@ func SelectCoded(ev Evaluator, src encoding.Source, fn func(Match)) (int, error)
 	return SelectCodedObs(ev, nil, src, fn)
 }
 
-// SelectCodedObs is SelectCoded reporting into a collector, with the same
-// split as SelectObs: a nil collector runs the plain kernel.
+// SelectCodedObs is SelectCoded reporting into a collector: the coded pass
+// over a set of one machine.
 func SelectCodedObs(ev Evaluator, c *obs.Collector, src encoding.Source, fn func(Match)) (int, error) {
-	be, ok := ev.(BatchEvaluator)
-	if !ok {
+	if !CodedCapable(ev) {
 		return SelectObs(ev, c, src, fn)
 	}
-	if c == nil {
-		return selectCodedPlain(be, src, fn)
-	}
-	return selectCodedObs(be, c, src, fn)
+	one := [1]Evaluator{ev}
+	return SelectCodedSet(one[:], lone, nil, c, src, func(_ int, m Match) {
+		if fn != nil {
+			fn(m)
+		}
+	})
 }
 
-// selectCodedPlain is the uninstrumented coded Select kernel. Position and
-// depth at a hit both derive from the count of Open events before it
-// (depth after event j is depth₀ + 2·opens − (j+1)), so the driver never
-// replays the batch event by event: it counts opens branchlessly up to
-// each hit, skips the tail after the last one, and advances whole hitless
-// batches from the batcher's Open count alone. Match labels come from the
-// batcher's label window, not the code alphabet: machines that accept
-// regardless of the label (the synopsis ⊤ state) can select events whose
-// Sym is the lossy unknown sentinel.
-//
-//treelint:plain
-func selectCodedPlain(be BatchEvaluator, src encoding.Source, fn func(Match)) (int, error) {
-	be.Reset()
-	//treelint:partial run prologue: one batcher+coder per run, O(1) and outside the per-event loop
-	b := encoding.NewBatcher(src, alphabet.NewCoder(be.CodeAlphabet()), encoding.DefaultBatch)
-	events := 0
-	pos, depth := -1, 0
-	var hits []int32
-	for {
-		batch, opens, err := b.NextBatch()
-		if len(batch) > 0 {
-			events += len(batch)
-			if fn == nil {
-				be.StepBatch(batch)
-			} else {
-				hits = be.SelectBatch(batch, hits[:0])
-				o, prev := 0, 0
-				for _, h := range hits {
-					for j := prev; j < int(h); j++ {
-						o += 1 - int(batch[j].Kind)
-					}
-					o++ // the hit itself is an Open
-					prev = int(h) + 1
-					fn(Match{Pos: pos + o, Depth: depth + 2*o - prev, Label: b.BatchLabel(int(h))})
-				}
-			}
-			pos += opens
-			depth += 2*opens - len(batch)
-		}
-		if err == io.EOF {
-			return events, nil
-		}
-		if err != nil {
-			return events, err
-		}
-	}
-}
-
-// selectCodedObs is the instrumented twin: every batch is walked to feed
-// the per-open depth histogram, matching SelectObs's samples exactly.
-func selectCodedObs(be BatchEvaluator, c *obs.Collector, src encoding.Source, fn func(Match)) (int, error) {
-	be.Reset()
-	b := encoding.NewBatcher(src, alphabet.NewCoder(be.CodeAlphabet()), encoding.DefaultBatch)
-	events := 0
-	matches := 0
-	pos, depth := -1, 0
-	var hits []int32
-	for {
-		batch, _, err := b.NextBatch()
-		if len(batch) > 0 {
-			events += len(batch)
-			hits = be.SelectBatch(batch, hits[:0])
-			hi := 0
-			for i := range batch {
-				if batch[i].Kind != encoding.Open {
-					depth--
-					continue
-				}
-				pos++
-				depth++
-				c.Depth.Observe(depth)
-				if hi < len(hits) && hits[hi] == int32(i) {
-					hi++
-					matches++
-					// The coded driver confirms hits only once the batch is
-					// stepped: this match was decided at batch index i and
-					// emits after index len(batch)-1.
-					c.Latency.Observe(len(batch) - 1 - i)
-					if fn != nil {
-						fn(Match{Pos: pos, Depth: depth, Label: b.BatchLabel(i)})
-					}
-				}
-			}
-		}
-		if err == io.EOF {
-			flushRun(c, be, int64(events), int64(matches))
-			return events, nil
-		}
-		if err != nil {
-			flushRun(c, be, int64(events), int64(matches))
-			return events, err
-		}
-	}
-}
+// lone is the loose list of a set of one machine.
+var lone = []int{0}
 
 // RecognizeCoded is Recognize through the compiled pipeline when ev
 // supports it, falling back to Recognize otherwise.
 func RecognizeCoded(ev Evaluator, src encoding.Source) (bool, error) {
-	return RecognizeCodedObs(ev, nil, src)
+	ok, _, err := RecognizeCodedObs(ev, nil, src)
+	return ok, err
 }
 
-// RecognizeCodedObs is RecognizeCoded reporting into a collector (nil:
-// plain kernel, as in RecognizeObs).
-func RecognizeCodedObs(ev Evaluator, c *obs.Collector, src encoding.Source) (bool, error) {
-	be, ok := ev.(BatchEvaluator)
-	if !ok {
-		return RecognizeObs(ev, c, src)
+// RecognizeCodedObs is RecognizeCoded reporting into a collector; it also
+// returns the number of events the run consumed.
+func RecognizeCodedObs(ev Evaluator, c *obs.Collector, src encoding.Source) (bool, int, error) {
+	if !CodedCapable(ev) {
+		return recognizeString(ev, c, src)
 	}
-	if c == nil {
-		return recognizeCodedPlain(be, src)
-	}
-	return recognizeCodedObs(be, c, src)
+	one := [1]Evaluator{ev}
+	events, err := SelectCodedSet(one[:], lone, nil, c, src, nil)
+	return err == nil && ev.Accepting(), events, err
 }
 
-// recognizeCodedPlain is the uninstrumented coded Recognize kernel.
+// ProductGroup is one product automaton of a coded pass: the compiled
+// product of some machines of the set, and for each of its mask bits the
+// member's index in the set.
+type ProductGroup struct {
+	Queries []int
+	Machine *ProductDFA
+}
+
+// passUnit is one stepping unit of a coded pass — a loose machine or a
+// product group — with its coder and reusable per-batch buffers.
+type passUnit struct {
+	be      BatchEvaluator
+	product *ProductEvaluator // non-nil for a product group
+	queries []int             // the group's members by mask bit; the loose machine's index
+	coder   *alphabet.Coder
+	coded   []encoding.CodedEvent
+	hits    []int32
+	masks   []uint64
+}
+
+// SelectCodedSet is the sequential coded pass over a set of machines. The
+// document is scanned once into batches of stream-local label ids
+// (encoding.TagBatcher). Each loose machine (evs[q] for q in loose, a
+// BatchEvaluator) lowers the batch through its own coder and steps it
+// whole; each product group steps its product once for all its members
+// and demultiplexes the hit masks. Matches replay in (position, machine)
+// order, as a per-event pass would emit them, and fn receives the
+// machine's index in evs. With a nil fn the pass only steps (StepBatch): a
+// recognizing run, whose caller reads Accepting afterwards.
 //
-//treelint:plain
-func recognizeCodedPlain(be BatchEvaluator, src encoding.Source) (bool, error) {
-	be.Reset()
-	//treelint:partial run prologue: one batcher+coder per run, O(1) and outside the per-event loop
-	b := encoding.NewBatcher(src, alphabet.NewCoder(be.CodeAlphabet()), encoding.DefaultBatch)
+// Match labels come from the batcher's label window, not the code
+// alphabet: machines that accept regardless of the label (the synopsis ⊤
+// state) can select events whose Sym is the lossy unknown sentinel. The
+// collector is touched per batch and per match, never per event on the nil
+// path; the run's totals and every machine's batched counters flush once
+// at the end, events counting once per machine.
+//
+//treelint:partial instrumented runs observe depths per batch and flush counters into obs
+func SelectCodedSet(evs []Evaluator, loose []int, groups []ProductGroup, c *obs.Collector, src encoding.Source, fn func(q int, m Match)) (int, error) {
+	units := make([]passUnit, 0, len(loose)+len(groups))
+	for i := range loose {
+		be := evs[loose[i]].(BatchEvaluator)
+		be.Reset()
+		units = append(units, passUnit{be: be, queries: loose[i : i+1], coder: alphabet.NewCoder(be.CodeAlphabet())})
+	}
+	for _, g := range groups {
+		pe := g.Machine.Evaluator()
+		units = append(units, passUnit{be: pe, product: pe, queries: g.Queries, coder: alphabet.NewCoder(g.Machine.Alphabet())})
+	}
+	hits := make([][]int32, len(evs))
+	next := make([]int, len(evs))
+	tags := encoding.NewTagBatcher(src, encoding.DefaultBatch)
+	events, matches := 0, 0
+	pos, depth := -1, 0
 	for {
-		batch, _, err := b.NextBatch()
-		be.StepBatch(batch)
-		if err == io.EOF {
-			return be.Accepting(), nil
+		batch, opens, err := tags.Next()
+		if len(batch) > 0 {
+			events += len(batch)
+			for i := range units {
+				u := &units[i]
+				if u.coded == nil {
+					u.coded = make([]encoding.CodedEvent, 0, len(batch))
+				}
+				u.coded = tags.Code(u.coder, u.coded)
+				switch {
+				case fn == nil:
+					u.be.StepBatch(u.coded)
+				case u.product == nil:
+					q := u.queries[0]
+					hits[q] = u.be.SelectBatch(u.coded, hits[q][:0])
+				default:
+					u.demux(hits)
+				}
+			}
+			if c != nil {
+				d := depth
+				for _, e := range batch {
+					if e.Kind == encoding.Open {
+						d++
+						c.Depth.Observe(d)
+					} else {
+						d--
+					}
+				}
+			}
+			if fn != nil {
+				matches += replay(batch, tags, hits, next, pos, depth, c, fn)
+			}
+			pos += opens
+			depth += 2*opens - len(batch)
 		}
 		if err != nil {
-			return false, err
+			return endRun(c, evs, events, matches, err)
 		}
 	}
 }
 
-// recognizeCodedObs is the instrumented twin: the batch is stepped as a
-// whole, then walked for the depth histogram.
-func recognizeCodedObs(be BatchEvaluator, c *obs.Collector, src encoding.Source) (bool, error) {
-	be.Reset()
-	b := encoding.NewBatcher(src, alphabet.NewCoder(be.CodeAlphabet()), encoding.DefaultBatch)
-	events := 0
-	depth := 0
-	for {
-		batch, _, err := b.NextBatch()
-		events += len(batch)
-		be.StepBatch(batch)
-		for i := range batch {
-			if batch[i].Kind == encoding.Open {
-				depth++
-				c.Depth.Observe(depth)
-			} else {
-				depth--
+// demux steps a product group's batch and spreads its hit masks over the
+// members' hit lists.
+func (u *passUnit) demux(hits [][]int32) {
+	for _, q := range u.queries {
+		hits[q] = hits[q][:0]
+	}
+	u.hits, u.masks = u.product.SelectBatchMasks(u.coded, u.hits[:0], u.masks[:0])
+	words := u.product.p.MaskWords()
+	for h, j := range u.hits {
+		for wi, word := range u.masks[h*words : (h+1)*words] {
+			for word != 0 {
+				q := u.queries[wi*64+bits.TrailingZeros64(word)]
+				word &= word - 1
+				hits[q] = append(hits[q], j)
 			}
 		}
-		if err == io.EOF {
-			flushRun(c, be, int64(events), 0)
-			return be.Accepting(), nil
+	}
+}
+
+// replay emits a stepped batch's hits in (position, machine) order and
+// returns how many it emitted; pos and depth are the stream's values before
+// the batch. Position and depth at a hit both derive from the count of Open
+// events before it (depth after event j is depth₀ + 2·opens − (j+1)), so
+// replay counts opens branchlessly up to each hit and never walks the tail
+// after the last one.
+func replay(batch []encoding.CodedEvent, tags *encoding.TagBatcher, hits [][]int32, next []int, pos, depth int, c *obs.Collector, fn func(int, Match)) int {
+	o, j := 0, 0
+	if len(hits) == 1 {
+		// A set of one: the hits are already in emission order.
+		for _, h := range hits[0] {
+			for ; j < int(h); j++ {
+				o += 1 - int(batch[j].Kind)
+			}
+			o++ // the hit itself is an Open
+			j++
+			if c != nil {
+				c.Latency.Observe(len(batch) - 1 - int(h))
+			}
+			fn(0, Match{Pos: pos + o, Depth: depth + 2*o - j, Label: tags.Label(int(h))})
 		}
-		if err != nil {
-			flushRun(c, be, int64(events), 0)
-			return false, err
+		return len(hits[0])
+	}
+	for q := range next {
+		next[q] = 0
+	}
+	emitted := 0
+	for {
+		h := int32(len(batch))
+		for q, hq := range hits {
+			if next[q] < len(hq) && hq[next[q]] < h {
+				h = hq[next[q]]
+			}
+		}
+		if int(h) == len(batch) {
+			return emitted
+		}
+		for ; j < int(h); j++ {
+			o += 1 - int(batch[j].Kind)
+		}
+		o++ // the hit itself is an Open
+		j++
+		m := Match{Pos: pos + o, Depth: depth + 2*o - j, Label: tags.Label(int(h))}
+		for q, hq := range hits {
+			if next[q] < len(hq) && hq[next[q]] == h {
+				next[q]++
+				emitted++
+				if c != nil {
+					// Batched emission: decided at batch index h,
+					// confirmed after index len(batch)-1.
+					c.Latency.Observe(len(batch) - 1 - int(h))
+				}
+				fn(q, m)
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"stackless/internal/encoding"
 	"stackless/internal/obs"
@@ -90,97 +89,96 @@ func SelectEarliest(ev Evaluator, src encoding.Source, fn func(Match)) (int, err
 	return SelectEarliestObs(ev, nil, src, fn)
 }
 
-// SelectEarliestObs is SelectEarliest reporting into a collector, with the
-// same split as SelectObs: a nil collector runs the plain kernel and costs
-// nothing. An instrumented run observes per-match emission latency (always
-// zero on this driver — that is the contract) into c.Latency alongside the
-// usual events/matches/depth accounting.
+// SelectEarliestObs is SelectEarliest reporting into a collector: the
+// earliest pass over a set of one machine.
 func SelectEarliestObs(ev Evaluator, c *obs.Collector, src encoding.Source, fn func(Match)) (int, error) {
-	dec, _ := ev.(EarliestDecider)
-	if c == nil {
-		return selectEarliestPlain(ev, dec, src, fn)
+	one := [1]Evaluator{ev}
+	var emit func(int, Match)
+	if fn != nil {
+		emit = func(_ int, m Match) { fn(m) }
 	}
-	ev.Reset()
-	events := 0
-	matches := 0
-	pos := -1
-	depth := 0
-	decided := false
+	return SelectEarliestSet(one[:], c, src, emit)
+}
+
+// SelectEarliestSet is the earliest pass over a set of machines: every
+// machine steps on every event, and fn receives each match (with the
+// machine's index in evs) inside the step of its deciding Open, in
+// (position, machine) order. The run is exact when every machine is an
+// EarliestDecider: once all of them report NoFutureMatches, stepping
+// stops. A decided run keeps draining the source — the event count,
+// balance-guard errors and depth histogram must match Select exactly — at
+// one source call per event. A nil collector costs one check per Open and
+// per match and, for a set of one, no allocation; an instrumented run
+// observes the depth per Open and a zero latency per match (that is the
+// contract), and flushes like the coded pass.
+//
+//treelint:partial instrumented runs observe depths per open and flush counters into obs
+func SelectEarliestSet(evs []Evaluator, c *obs.Collector, src encoding.Source, fn func(q int, m Match)) (int, error) {
+	decs := make([]EarliestDecider, 0, 1) // a set of one keeps its decider on the stack
+	for _, ev := range evs {
+		ev.Reset()
+		if d, ok := ev.(EarliestDecider); ok && decs != nil {
+			decs = append(decs, d)
+		} else {
+			decs = nil
+		}
+	}
+	events, matches := 0, 0
+	pos, depth := -1, 0
 	for {
 		e, err := src.Next()
-		if err == io.EOF {
-			flushRun(c, ev, int64(events), int64(matches))
-			return events, nil
-		}
 		if err != nil {
-			flushRun(c, ev, int64(events), int64(matches))
-			return events, err
+			return endRun(c, evs, events, matches, err)
 		}
 		events++
 		if e.Kind == encoding.Open {
 			pos++
 			depth++
-			c.Depth.Observe(depth)
+			if c != nil {
+				c.Depth.Observe(depth)
+			}
 		} else {
 			depth--
 		}
-		if decided {
-			continue
-		}
-		ev.Step(e)
-		if e.Kind == encoding.Open && ev.Accepting() {
-			matches++
-			c.Latency.Observe(0)
-			if fn != nil {
-				fn(Match{Pos: pos, Depth: depth, Label: e.Label})
+		for q, ev := range evs {
+			ev.Step(e)
+			if e.Kind == encoding.Open && ev.Accepting() {
+				matches++
+				if c != nil {
+					c.Latency.Observe(0)
+				}
+				if fn != nil {
+					fn(q, Match{Pos: pos, Depth: depth, Label: e.Label})
+				}
 			}
 		}
-		if dec != nil && dec.NoFutureMatches() {
-			decided = true
+		if decs != nil && allDecided(decs) {
+			break
+		}
+	}
+	// Decided: no machine steps again, and the rest of the stream only
+	// drains.
+	for {
+		e, err := src.Next()
+		if err != nil {
+			return endRun(c, evs, events, matches, err)
+		}
+		events++
+		if c != nil {
+			depth += 1 - 2*int(e.Kind)
+			if e.Kind == encoding.Open {
+				c.Depth.Observe(depth)
+			}
 		}
 	}
 }
 
-// selectEarliestPlain is the uninstrumented earliest kernel. A decided run
-// keeps draining the source — the event count, balance-guard errors and
-// position bookkeeping must match Select exactly — but stops stepping the
-// machine, which is the whole point of the flags: the remaining stream
-// costs one kind test per event. dec is nil for safe-approximation
-// machines (the decided branch is then dead).
-//
-//treelint:plain
-func selectEarliestPlain(ev Evaluator, dec EarliestDecider, src encoding.Source, fn func(Match)) (int, error) {
-	ev.Reset()
-	events := 0
-	pos := -1
-	depth := 0
-	decided := false
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			return events, nil
-		}
-		if err != nil {
-			return events, err
-		}
-		events++
-		if e.Kind == encoding.Open {
-			pos++
-			depth++
-		} else {
-			depth--
-		}
-		if decided {
-			continue
-		}
-		ev.Step(e)
-		if e.Kind == encoding.Open && ev.Accepting() {
-			if fn != nil {
-				fn(Match{Pos: pos, Depth: depth, Label: e.Label})
-			}
-		}
-		if dec != nil && dec.NoFutureMatches() {
-			decided = true
+// allDecided reports whether every decider proves no further match.
+func allDecided(decs []EarliestDecider) bool {
+	for _, d := range decs {
+		if !d.NoFutureMatches() {
+			return false
 		}
 	}
+	return true
 }

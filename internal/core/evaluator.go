@@ -84,22 +84,29 @@ func flushEvObs(ev Evaluator) {
 
 // FlushEvObs is flushEvObs for the packages layered above core: the
 // chunk-parallel engine drives machines through its own loops (no
-// flushRun), so it drains the batched machine metrics itself at the end
+// endRun), so it drains the batched machine metrics itself at the end
 // of an instrumented run.
 func FlushEvObs(ev Evaluator) { flushEvObs(ev) }
 
-// flushRun reports a finished run's totals. Marked noinline so the cold
-// exit paths of SelectObs/RecognizeObs stay one call each and the hot loop
-// bodies stay small.
+// endRun ends a run over a machine set on the source error err: it reports
+// the totals into c when non-nil — every machine steps on every event, so
+// events count once per machine — drains each machine's batched counters,
+// and turns io.EOF into a clean end. Marked noinline so the cold exit paths
+// of the drivers stay one call each and the hot loop bodies stay small.
 //
 //go:noinline
-func flushRun(c *obs.Collector, ev Evaluator, events, matches int64) {
-	if c == nil {
-		return
+func endRun(c *obs.Collector, evs []Evaluator, events, matches int, err error) (int, error) {
+	if c != nil {
+		c.Events.Add(int64(events) * int64(len(evs)))
+		c.Matches.Add(int64(matches))
+		for _, ev := range evs {
+			flushEvObs(ev)
+		}
 	}
-	c.Events.Add(events)
-	c.Matches.Add(matches)
-	flushEvObs(ev)
+	if err == io.EOF {
+		return events, nil
+	}
+	return events, err
 }
 
 // Select streams src through ev and calls fn for every pre-selected node,
@@ -125,13 +132,8 @@ func SelectObs(ev Evaluator, c *obs.Collector, src encoding.Source, fn func(Matc
 	depth := 0
 	for {
 		e, err := src.Next()
-		if err == io.EOF {
-			flushRun(c, ev, int64(events), int64(matches))
-			return events, nil
-		}
 		if err != nil {
-			flushRun(c, ev, int64(events), int64(matches))
-			return events, err
+			return endRun(c, []Evaluator{ev}, events, matches, err)
 		}
 		events++
 		if e.Kind == encoding.Open {
@@ -204,6 +206,13 @@ func Recognize(ev Evaluator, src encoding.Source) (bool, error) {
 // RecognizeObs is Recognize reporting events and the depth histogram into a
 // collector. A nil collector runs the plain kernel (see SelectObs).
 func RecognizeObs(ev Evaluator, c *obs.Collector, src encoding.Source) (bool, error) {
+	ok, _, err := recognizeString(ev, c, src)
+	return ok, err
+}
+
+// recognizeString is RecognizeObs that also returns the number of events
+// the run consumed.
+func recognizeString(ev Evaluator, c *obs.Collector, src encoding.Source) (bool, int, error) {
 	if c == nil {
 		return recognizePlain(ev, src)
 	}
@@ -212,13 +221,9 @@ func RecognizeObs(ev Evaluator, c *obs.Collector, src encoding.Source) (bool, er
 	depth := 0
 	for {
 		e, err := src.Next()
-		if err == io.EOF {
-			flushRun(c, ev, int64(events), 0)
-			return ev.Accepting(), nil
-		}
 		if err != nil {
-			flushRun(c, ev, int64(events), 0)
-			return false, err
+			n, err := endRun(c, []Evaluator{ev}, events, 0, err)
+			return err == nil && ev.Accepting(), n, err
 		}
 		events++
 		if e.Kind == encoding.Open {
@@ -235,16 +240,18 @@ func RecognizeObs(ev Evaluator, c *obs.Collector, src encoding.Source) (bool, er
 // for why it exists.
 //
 //treelint:plain
-func recognizePlain(ev Evaluator, src encoding.Source) (bool, error) {
+func recognizePlain(ev Evaluator, src encoding.Source) (bool, int, error) {
 	ev.Reset()
+	events := 0
 	for {
 		e, err := src.Next()
 		if err == io.EOF {
-			return ev.Accepting(), nil
+			return ev.Accepting(), events, nil
 		}
 		if err != nil {
-			return false, err
+			return false, events, err
 		}
+		events++
 		ev.Step(e)
 	}
 }

@@ -110,7 +110,7 @@ type StacklessEvaluator struct {
 func (ev *StacklessEvaluator) SetObs(c *obs.Collector) { ev.obs = c }
 
 // flushObs reports the machine-local counters into the attached collector
-// and zeroes them. Called by SelectObs/RecognizeObs when the stream ends.
+// and zeroes them. Called by every sequential driver when the stream ends.
 func (ev *StacklessEvaluator) flushObs() {
 	if ev.obs != nil {
 		ev.obs.RegisterLoads.Add(ev.loads)

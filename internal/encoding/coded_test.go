@@ -3,6 +3,7 @@ package encoding
 import (
 	"errors"
 	"io"
+	"strings"
 	"testing"
 
 	"stackless/internal/alphabet"
@@ -48,7 +49,7 @@ func TestCodeEvents(t *testing.T) {
 }
 
 // funnelSource hides a SliceSource behind the generic interface so the
-// Batcher takes its per-event path.
+// TagBatcher interns it per event (internSource).
 type funnelSource struct{ inner *SliceSource }
 
 func (f *funnelSource) Next() (Event, error) { return f.inner.Next() }
@@ -63,25 +64,46 @@ func batcherDoc(n int) []Event {
 	return events
 }
 
+// xmlOf serializes a markup event stream for the XML scanner.
+func xmlOf(events []Event) string {
+	var sb strings.Builder
+	for _, e := range events {
+		if e.Kind == Open {
+			sb.WriteString("<" + e.Label + ">")
+		} else {
+			sb.WriteString("</" + e.Label + ">")
+		}
+	}
+	return sb.String()
+}
+
+// TestBatcherSliceAndGenericAgree: the slice fill, the per-event intern
+// path and the XML scanner's fill code the same stream identically through
+// TagBatcher.Code, labels included, in batches no larger than requested.
 func TestBatcherSliceAndGenericAgree(t *testing.T) {
 	events := batcherDoc(1000) // 2000 events: several size-64 batches
-	coder := alphabet.NewCoder(alphabet.Letters("ab"))
 	for _, tc := range []struct {
 		name string
 		src  Source
 	}{
 		{"slice", NewSliceSource(events)},
 		{"generic", &funnelSource{inner: NewSliceSource(events)}},
+		{"scanner", NewXMLScanner(strings.NewReader(xmlOf(events)))},
 	} {
-		b := NewBatcher(tc.src, coder, 64)
-		var coded []CodedEvent
+		coder := alphabet.NewCoder(alphabet.Letters("ab"))
+		b := NewTagBatcher(tc.src, 64)
+		var coded, buf []CodedEvent
 		var labels []string
 		totalOpens := 0
 		for {
-			batch, opens, err := b.NextBatch()
-			for i := range batch {
-				coded = append(coded, batch[i])
-				labels = append(labels, b.BatchLabel(i))
+			batch, opens, err := b.Next()
+			buf = b.Code(coder, buf)
+			if len(buf) != len(batch) {
+				t.Fatalf("%s: Code gave %d events for a batch of %d", tc.name, len(buf), len(batch))
+			}
+			for i := range buf {
+				coded = append(coded, buf[i])
+				labels = append(labels, b.Label(i))
 			}
 			totalOpens += opens
 			if err == io.EOF {
@@ -109,47 +131,66 @@ func TestBatcherSliceAndGenericAgree(t *testing.T) {
 				t.Fatalf("%s: event %d: got %+v, want {%d %v}", tc.name, i, coded[i], wantSym, e.Kind)
 			}
 			if labels[i] != e.Label {
-				t.Fatalf("%s: event %d: BatchLabel %q, want %q", tc.name, i, labels[i], e.Label)
+				t.Fatalf("%s: event %d: Label %q, want %q", tc.name, i, labels[i], e.Label)
 			}
 		}
 		// The error is sticky.
-		if _, _, err := b.NextBatch(); err != io.EOF {
-			t.Fatalf("%s: repeated NextBatch error = %v, want io.EOF", tc.name, err)
+		if _, _, err := b.Next(); err != io.EOF {
+			t.Fatalf("%s: repeated Next error = %v, want io.EOF", tc.name, err)
 		}
 	}
 }
 
+// TestBatcherDefaultSize: a size <= 0 means DefaultBatch, for the slice
+// fill and a rewound slice alike (its interned ids survive Rewind).
 func TestBatcherDefaultSize(t *testing.T) {
-	b := NewBatcher(NewSliceSource(batcherDoc(3*DefaultBatch)), alphabet.NewCoder(alphabet.Letters("ab")), 0)
-	batch, _, err := b.NextBatch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != DefaultBatch {
-		t.Fatalf("batch size %d, want DefaultBatch %d", len(batch), DefaultBatch)
+	src := NewSliceSource(batcherDoc(3 * DefaultBatch))
+	for run := 0; run < 2; run++ {
+		src.Rewind()
+		b := NewTagBatcher(src, 0)
+		batch, _, err := b.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(batch) != DefaultBatch {
+			t.Fatalf("run %d: batch size %d, want DefaultBatch %d", run, len(batch), DefaultBatch)
+		}
+		coded := b.Code(alphabet.NewCoder(alphabet.Letters("ab")), nil)
+		if coded[0].Sym != 0 || coded[1].Sym != 0 || coded[2].Sym != 1 || coded[4].Sym != 2 {
+			t.Fatalf("run %d: coded prefix %v", run, coded[:6])
+		}
 	}
 }
 
 // TestBatcherPartialBatchWithError: a source error must be delivered with
-// the final partial batch, and repeated afterwards.
+// the final partial batch, and repeated afterwards — through the slice
+// fill with the guard folded in, and through the per-event intern path.
 func TestBatcherPartialBatchWithError(t *testing.T) {
-	src := CheckBalance(NewSliceSource([]Event{
+	bad := []Event{
 		{Kind: Open, Label: "a"},
 		{Kind: Close, Label: "a"},
 		{Kind: Close, Label: "a"}, // unbalanced: error from the source
-	}))
-	b := NewBatcher(src, alphabet.NewCoder(alphabet.Letters("a")), 8)
-	batch, opens, err := b.NextBatch()
-	if !errors.Is(err, ErrMalformed) {
-		t.Fatalf("err = %v, want ErrMalformed", err)
 	}
-	if len(batch) != 2 || opens != 1 {
-		t.Fatalf("partial batch len %d opens %d, want 2 and 1", len(batch), opens)
-	}
-	if b.BatchLabel(0) != "a" || b.BatchLabel(1) != "a" {
-		t.Fatal("labels of the partial batch must be retained")
-	}
-	if _, _, err2 := b.NextBatch(); !errors.Is(err2, ErrMalformed) {
-		t.Fatalf("repeated err = %v, want sticky ErrMalformed", err2)
+	for name, src := range map[string]Source{
+		"slice":   CheckBalance(NewSliceSource(bad)),
+		"generic": CheckBalance(&funnelSource{inner: NewSliceSource(bad)}),
+	} {
+		b := NewTagBatcher(src, 8)
+		batch, opens, err := b.Next()
+		if !errors.Is(err, ErrMalformed) {
+			t.Fatalf("%s: err = %v, want ErrMalformed", name, err)
+		}
+		if len(batch) != 2 || opens != 1 {
+			t.Fatalf("%s: partial batch len %d opens %d, want 2 and 1", name, len(batch), opens)
+		}
+		if coded := b.Code(alphabet.NewCoder(alphabet.Letters("a")), nil); len(coded) != 2 || coded[0].Sym != 0 {
+			t.Fatalf("%s: coded partial batch %v", name, coded)
+		}
+		if b.Label(0) != "a" || b.Label(1) != "a" {
+			t.Fatalf("%s: labels of the partial batch must be retained", name)
+		}
+		if _, _, err2 := b.Next(); !errors.Is(err2, ErrMalformed) {
+			t.Fatalf("%s: repeated err = %v, want sticky ErrMalformed", name, err2)
+		}
 	}
 }

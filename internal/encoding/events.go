@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 
+	"stackless/internal/alphabet"
 	"stackless/internal/tree"
 )
 
@@ -59,6 +60,12 @@ type Source interface {
 type SliceSource struct {
 	events []Event
 	pos    int
+
+	// tagged holds the events as (kind, stream-local label id) pairs for
+	// the batch fill, interned on the first batched read and kept across
+	// Rewind.
+	tagged []CodedEvent
+	labels
 }
 
 // NewSliceSource returns a Source over the given events.
@@ -76,6 +83,40 @@ func (s *SliceSource) Next() (Event, error) {
 	e := s.events[s.pos]
 	s.pos++
 	return e, nil
+}
+
+// fill implements tagSource: the labels are interned once, on the first
+// batched read, into a (kind, label id) copy of the slice, so every batch
+// after that is one copy. The guard g, if any, is checked per event as Next
+// would.
+func (s *SliceSource) fill(buf []CodedEvent, g *balancedSource) ([]CodedEvent, int, error) {
+	if s.tagged == nil {
+		s.labels = newLabels()
+		s.tagged = make([]CodedEvent, len(s.events))
+		for i, e := range s.events {
+			s.tagged[i] = CodedEvent{Sym: alphabet.Sym(s.internString(e.Label)), Kind: e.Kind}
+		}
+	}
+	rest := s.tagged[s.pos:min(len(s.tagged), s.pos+cap(buf)-len(buf))]
+	opens := 0
+	for i, e := range rest {
+		if g != nil {
+			if err := g.check(e.Kind, nil); err != nil {
+				s.pos += i + 1
+				return append(buf, rest[:i]...), opens, err
+			}
+		}
+		opens += 1 - int(e.Kind)
+	}
+	s.pos += len(rest)
+	buf = append(buf, rest...)
+	switch {
+	case len(buf) == cap(buf):
+		return buf, opens, nil
+	case g != nil:
+		return buf, opens, g.check(Open, io.EOF)
+	}
+	return buf, opens, io.EOF
 }
 
 // ReadAll drains a Source into an event slice. On error it returns the

@@ -24,7 +24,7 @@ import (
 //     the reference's events — kinds, labels and order — up to the first
 //     error; both fail or neither does, with the same errors.Is(ErrMalformed)
 //     class. The same bytes run through TermScanner against its reference.
-//   - The batch path (Batcher, TagBatcher; with and without the
+//   - The batch path (TagBatcher; with and without the
 //     CheckBalance guard folded in) codes exactly what Next plus
 //     CodeEvents codes, and reports the same labels and error.
 //   - Where the reference, the new scanner and encoding/xml all accept the
@@ -93,15 +93,15 @@ func FuzzXMLScannerDiff(f *testing.F) {
 				src = encoding.CheckBalance(src)
 			}
 			coder := alphabet.NewCoder(coderAlph)
-			b := encoding.NewBatcher(src, coder, 1+int(firstOr(sizes, 4))%8)
-			var coded []encoding.CodedEvent
+			b := encoding.NewTagBatcher(src, 1+int(firstOr(sizes, 4))%8)
+			var coded, batch []encoding.CodedEvent
 			var labels []string
 			var err error
 			for err == nil {
-				var batch []encoding.CodedEvent
-				batch, _, err = b.NextBatch()
+				_, _, err = b.Next()
+				batch = b.Code(coder, batch)
 				for i := range batch {
-					labels = append(labels, b.BatchLabel(i))
+					labels = append(labels, b.Label(i))
 				}
 				coded = append(coded, batch...)
 			}
@@ -114,7 +114,7 @@ func FuzzXMLScannerDiff(f *testing.F) {
 			}
 			for i, e := range ref {
 				if labels[i] != e.Label {
-					t.Fatalf("guard=%v: BatchLabel(%d) = %q, want %q", guard, i, labels[i], e.Label)
+					t.Fatalf("guard=%v: Label(%d) = %q, want %q", guard, i, labels[i], e.Label)
 				}
 			}
 			sameErr(t, "batch", err, refErr)

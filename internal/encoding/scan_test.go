@@ -140,13 +140,20 @@ func TestBatchScanSteadyStateZeroAllocs(t *testing.T) {
 		if guard {
 			src = CheckBalance(src)
 		}
-		b := NewBatcher(src, alphabet.NewCoder(alphabet.New("item", "name")), 0)
-		if _, _, err := b.NextBatch(); err != nil {
+		b := NewTagBatcher(src, 0)
+		coder := alphabet.NewCoder(alphabet.New("item", "name"))
+		var coded []CodedEvent
+		if _, _, err := b.Next(); err != nil {
 			t.Fatal(err)
 		}
+		coded = b.Code(coder, coded)
 		if n := testing.AllocsPerRun(50, func() {
-			if batch, _, err := b.NextBatch(); err != nil || len(batch) != DefaultBatch {
+			batch, _, err := b.Next()
+			if err != nil || len(batch) != DefaultBatch {
 				t.Fatalf("batch of %d, %v", len(batch), err)
+			}
+			if coded = b.Code(coder, coded); len(coded) != DefaultBatch {
+				t.Fatalf("coded batch of %d", len(coded))
 			}
 		}); n != 0 {
 			t.Errorf("guard=%v: %v allocations per batch, want 0", guard, n)

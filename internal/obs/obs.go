@@ -92,8 +92,8 @@ func (t *PhaseTimer) Observe(d time.Duration) {
 // Collector aggregates everything the engine reports. The zero value is
 // ready to use; share one *Collector across goroutines freely.
 type Collector struct {
-	// Stream-level accounting (core.SelectObs / core.RecognizeObs /
-	// parallel runs / the MultiQuery pass).
+	// Stream-level accounting (core's sequential passes and string
+	// drivers, parallel runs).
 	Events  Counter // tag events processed
 	Matches Counter // matches reported
 

@@ -9,11 +9,9 @@ import (
 
 // Group is one product group of a plan: a compiled product plus the mapping
 // from its mask bits back to the caller's query indices — a match whose
-// acceptance bitset has bit i set belongs to query Queries[i].
-type Group struct {
-	Queries []int
-	Machine *core.ProductDFA
-}
+// acceptance bitset has bit i set belongs to query Queries[i]. It is the
+// group type of core's coded pass, so a plan runs there as is.
+type Group = core.ProductGroup
 
 // Plan partitions a query set for evaluation: Groups run one-pass through
 // their products, Loose queries (ascending) fan out exactly as before —

@@ -3,11 +3,9 @@ package stackless
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"sync"
 	"time"
 
-	"stackless/internal/alphabet"
 	"stackless/internal/core"
 	"stackless/internal/encoding"
 	"stackless/internal/obs"
@@ -61,10 +59,9 @@ type MultiStats struct {
 	// Options.Workers clamped to GOMAXPROCS, as in Stats.
 	Workers int
 	// Pipeline actually used: PipelineCoded for every run but a sequential
-	// Earliest one, which takes the per-event PipelineString pass. Every
-	// query machine compiles, so the sequential coded pass steps each
-	// machine (or product) in whole batches; instrumented runs stay on it,
-	// flushing counters per batch.
+	// Earliest one, which takes the per-event PipelineString pass. The
+	// sequential runs are core's coded and earliest passes, the same ones
+	// a single Query runs.
 	Pipeline Pipeline
 	// ProductGroups is the number of product automata the query set was
 	// merged into (0 when every query ran loose — singletons, incompatible
@@ -104,23 +101,14 @@ func (m *MultiQuery) selectSource(src encoding.Source, enc Encoding, opt Options
 		Matches:    make([]int, len(m.queries)),
 	}
 	evs := make([]core.QueryMachine, len(m.queries))
+	machines := make([]core.Evaluator, len(m.queries))
 	for i, q := range m.queries {
 		var err error
-		if opt.ForceStack {
-			evs[i], stats.Strategies[i] = q.stackQuery(), Stack
-		} else {
-			evs[i], stats.Strategies[i], err = q.queryEvaluator(enc, !opt.ForbidStack)
-		}
-		if err != nil {
+		if evs[i], stats.Strategies[i], err = compileRun(enc, opt, q.queryEvaluator, q.stackQuery); err != nil {
 			return stats, fmt.Errorf("query %d (%s): %w", i, q, err)
 		}
-		if c != nil {
-			core.Instrument(evs[i], c)
-			if stats.Strategies[i] == Stack {
-				c.StackFallbacks.Inc()
-			}
-		}
 		evs[i].Reset()
+		machines[i] = evs[i]
 	}
 	if opt.Workers > 1 {
 		if opt.Earliest {
@@ -129,220 +117,47 @@ func (m *MultiQuery) selectSource(src encoding.Source, enc Encoding, opt Options
 			// approximation's latency bound holds.
 			stats.Earliest = EarliestApprox
 		}
-		plan := m.plan(evs, c)
+		plan := m.plan(machines, c)
 		stats.ProductGroups = len(plan.Groups)
 		return m.selectParallel(src, opt, evs, plan, stats, fn)
 	}
 	stats.Workers = 1
+	matches := stats.Matches
+	count := func(q int, cm core.Match) {
+		matches[q]++
+		if fn != nil {
+			fn(MultiMatch{Query: q, Match: Match{Pos: cm.Pos, Depth: cm.Depth, Label: cm.Label}})
+		}
+	}
+	var err error
 	if !opt.Earliest {
-		plan := m.plan(evs, c)
+		plan := m.plan(machines, c)
 		stats.ProductGroups = len(plan.Groups)
 		stats.Pipeline = PipelineCoded
-		return m.selectBatched(src, evs, plan, c, stats, fn)
+		stats.Events, err = core.SelectCodedSet(machines, plan.Loose, plan.Groups, c, src, count)
+		return stats, err
 	}
+	// Earliest emission runs the per-event pass. The mode is exact only
+	// when every machine carries earliest flags; one approximated member
+	// never decides, so the whole set degrades to the safe approximation.
 	stats.Pipeline = PipelineString
-	// Earliest emission runs the per-event pass — it already emits every
-	// match at its deciding Open — plus the early-exit check: once every
-	// machine proves no further match is possible, stepping stops and the
-	// rest of the stream only drains (event accounting and the balance
-	// guard are unchanged). The mode is exact only when every machine
-	// carries earliest flags; one approximated member never decides, so
-	// the whole set degrades to the safe approximation.
-	var deciders []core.EarliestDecider
-	if opt.Earliest {
-		stats.Earliest = EarliestExact
-		deciders = make([]core.EarliestDecider, len(evs))
-		for i, ev := range evs {
-			if d, ok := ev.(core.EarliestDecider); ok {
-				deciders[i] = d
-			} else {
-				stats.Earliest = EarliestApprox
-			}
+	stats.Earliest = EarliestExact
+	for _, ev := range machines {
+		if core.EarliestClassOf(ev) != EarliestExact {
+			stats.Earliest = EarliestApprox
 		}
 	}
-	decided := false
-	pos := -1
-	depth := 0
-	// Every machine steps on every event, so the collector counts events
-	// per machine (matching the parallel fan-out, where each query is its
-	// own pass over the buffered events).
-	if c != nil {
-		defer func() {
-			c.Events.Add(int64(stats.Events) * int64(len(evs)))
-		}()
-	}
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			return stats, nil
-		}
-		if err != nil {
-			return stats, err
-		}
-		stats.Events++
-		if e.Kind == encoding.Open {
-			pos++
-			depth++
-			if c != nil {
-				c.Depth.Observe(depth)
-			}
-		} else {
-			depth--
-		}
-		if decided {
-			continue
-		}
-		for i, ev := range evs {
-			ev.Step(e)
-			if e.Kind == encoding.Open && ev.Accepting() {
-				stats.Matches[i]++
-				if c != nil {
-					c.Matches.Inc()
-					c.Latency.Observe(0)
-				}
-				if fn != nil {
-					fn(MultiMatch{Query: i, Match: Match{Pos: pos, Depth: depth, Label: e.Label}})
-				}
-			}
-		}
-		if stats.Earliest == EarliestExact {
-			decided = true
-			for _, d := range deciders {
-				if !d.NoFutureMatches() {
-					decided = false
-					break
-				}
-			}
-		}
-	}
+	stats.Events, err = core.SelectEarliestSet(machines, c, src, count)
+	return stats, err
 }
 
-// plan groups the evaluators into product groups (internal/product) through
+// plan groups the machines into product groups (internal/product) through
 // the shared LRU cache, or fans everything out when products are disabled.
-func (m *MultiQuery) plan(evs []core.QueryMachine, c *obs.Collector) product.Plan {
+func (m *MultiQuery) plan(machines []core.Evaluator, c *obs.Collector) product.Plan {
 	if m.noProduct {
-		return product.FanoutPlan(len(evs))
-	}
-	machines := make([]core.Evaluator, len(evs))
-	for i, ev := range evs {
-		machines[i] = ev
+		return product.FanoutPlan(len(machines))
 	}
 	return product.BuildPlan(machines, product.Shared(), 0, c)
-}
-
-// selectBatched is the compiled fast path of the sequential multi-query
-// pass: the document is scanned once into batches of stream-local label
-// ids (encoding.TagBatcher); each product group lowers the batch through
-// its own coder under its shared union alphabet — one slice load per event
-// — and steps its product whole, demultiplexing hit masks into per-query
-// hit lists, while loose machines code and step individually as before. Matches are replayed from the
-// per-query hit lists in the exact (position, query) order of the per-event
-// pass. An instrumented run stays on this path: the collector's event total
-// flushes once per return, depths observe per open during the replay walk
-// (forced even on hitless batches), and matches count as they emit —
-// counter for counter what the per-event pass reports.
-//
-//treelint:partial instrumented runs flush batched counters into obs
-func (m *MultiQuery) selectBatched(src encoding.Source, evs []core.QueryMachine, plan product.Plan, c *obs.Collector, stats MultiStats, fn func(MultiMatch)) (MultiStats, error) {
-	n := len(evs)
-	loose := plan.Loose
-	coders := make([]*alphabet.Coder, len(loose))
-	coded := make([][]encoding.CodedEvent, len(loose))
-	for li, q := range loose {
-		coders[li] = alphabet.NewCoder(evs[q].CodeAlphabet())
-	}
-	groups := plan.Groups
-	gevs := make([]*core.ProductEvaluator, len(groups))
-	gcoders := make([]*alphabet.Coder, len(groups))
-	gcoded := make([][]encoding.CodedEvent, len(groups))
-	ghits := make([][]int32, len(groups))
-	gmasks := make([][]uint64, len(groups))
-	for gi, g := range groups {
-		gevs[gi] = g.Machine.Evaluator()
-		gcoders[gi] = alphabet.NewCoder(g.Machine.Alphabet())
-	}
-	hits := make([][]int32, n)
-	next := make([]int, n)
-	if c != nil {
-		// Every machine steps on every event, as in the per-event pass and
-		// the parallel fan-out — a product steps once but counts for each
-		// member.
-		defer func() {
-			c.Events.Add(int64(stats.Events) * int64(n))
-		}()
-	}
-	tags := encoding.NewTagBatcher(src, encoding.DefaultBatch)
-	pos, depth := -1, 0
-	for {
-		batch, opens, srcErr := tags.Next()
-		if len(batch) > 0 {
-			stats.Events += len(batch)
-			anyHits := false
-			for li, q := range loose {
-				coded[li] = tags.Code(coders[li], coded[li])
-				hits[q] = evs[q].SelectBatch(coded[li], hits[q][:0])
-				next[q] = 0
-				anyHits = anyHits || len(hits[q]) > 0
-			}
-			for gi := range gevs {
-				g := &groups[gi]
-				for _, q := range g.Queries {
-					hits[q] = hits[q][:0]
-					next[q] = 0
-				}
-				gcoded[gi] = tags.Code(gcoders[gi], gcoded[gi])
-				ghits[gi], gmasks[gi] = gevs[gi].SelectBatchMasks(gcoded[gi], ghits[gi][:0], gmasks[gi][:0])
-				words := g.Machine.MaskWords()
-				for h, j := range ghits[gi] {
-					for wi, word := range gmasks[gi][h*words : (h+1)*words] {
-						for word != 0 {
-							q := g.Queries[wi*64+bits.TrailingZeros64(word)]
-							word &= word - 1
-							hits[q] = append(hits[q], j)
-							anyHits = true
-						}
-					}
-				}
-			}
-			if !anyHits && c == nil {
-				pos += opens
-				depth += 2*opens - len(batch)
-			} else {
-				for j := range batch {
-					if batch[j].Kind != encoding.Open {
-						depth--
-						continue
-					}
-					pos++
-					depth++
-					if c != nil {
-						c.Depth.Observe(depth)
-					}
-					for q := 0; q < n; q++ {
-						if next[q] < len(hits[q]) && hits[q][next[q]] == int32(j) {
-							next[q]++
-							stats.Matches[q]++
-							if c != nil {
-								c.Matches.Inc()
-								// Batched emission: decided at batch index
-								// j, confirmed after index len(batch)-1.
-								c.Latency.Observe(len(batch) - 1 - j)
-							}
-							if fn != nil {
-								fn(MultiMatch{Query: q, Match: Match{Pos: pos, Depth: depth, Label: tags.Label(j)}})
-							}
-						}
-					}
-				}
-			}
-		}
-		if srcErr == io.EOF {
-			return stats, nil
-		}
-		if srcErr != nil {
-			return stats, srcErr
-		}
-	}
 }
 
 // selectParallel fans the product groups and the loose queries — and

@@ -2,6 +2,7 @@ package stackless
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -267,3 +268,63 @@ func TestObsCollectorSnapshotPublic(t *testing.T) {
 		t.Fatalf("String() = %q, want expvar-style JSON", s)
 	}
 }
+
+// TestObsQueryMultiParity: a Query run and a one-member MultiQuery run
+// share core's sequential passes, so over the same document they leave
+// identical collector snapshots — every counter and histogram, the
+// machines' batched counters (register loads and compares, stack-pool
+// reuse and misses) included — on every tier, coded and earliest alike.
+func TestObsQueryMultiParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	docs := []string{catalogParityDoc}
+	for i := 0; i < 8; i++ {
+		docs = append(docs, encoding.XMLString(gen.RandomTree(rng, abc, 1+rng.Intn(80))))
+	}
+	catalog, err := CompileXPath("/catalog/item/category//name", []string{"catalog", "item", "category", "name", "price"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, q := range map[string]*Query{
+		"registerless": MustCompileRegex("a.*b", abc),
+		"stackless":    MustCompileRegex(".*a.*b", abc),
+		"stack":        MustCompileRegex(".*ab", abc),
+		"catalog":      catalog,
+	} {
+		mq, err := NewMultiQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, earliest := range []bool{false, true} {
+			machineCounters := int64(0)
+			for i, doc := range docs {
+				qc, mc := NewCollector(), NewCollector()
+				qs, err := q.SelectXML(strings.NewReader(doc), Options{Earliest: earliest, Collector: qc}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ms, err := mq.SelectXML(strings.NewReader(doc), Options{Earliest: earliest, Collector: mc}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if qs.Events != ms.Events || qs.Matches != ms.Matches[0] {
+					t.Fatalf("%s earliest=%v doc %d: Query stats %+v, MultiQuery stats %+v", name, earliest, i, qs, ms)
+				}
+				qsnap, msnap := qc.Snapshot(), mc.Snapshot()
+				if !reflect.DeepEqual(qsnap, msnap) {
+					t.Fatalf("%s earliest=%v doc %d: snapshots differ\nQuery:      %s\nMultiQuery: %s", name, earliest, i, qc, mc)
+				}
+				for _, k := range []string{"register_loads", "register_compares", "stack_pool_reuse", "stack_pool_misses"} {
+					machineCounters += qsnap.Counters[k]
+				}
+			}
+			if name != "registerless" && machineCounters == 0 {
+				t.Errorf("%s earliest=%v: no machine counter was recorded; the parity check is vacuous", name, earliest)
+			}
+		}
+	}
+}
+
+// catalogParityDoc is a small catalog document for the category//name
+// query, on which the stackless machine loads and compares registers.
+const catalogParityDoc = `<catalog><item><category><name/><price/><category><name/></category></category><name/></item>` +
+	`<item><category><price/></category></item><item><name/><category><name/><name/></category></item></catalog>`

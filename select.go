@@ -209,22 +209,9 @@ func (q *Query) selectSource(src encoding.Source, enc Encoding, opt Options, fn 
 	src = opt.guard(src)
 	opt.Workers = effectiveWorkers(opt.Workers)
 	c := opt.Collector
-	var ev core.QueryMachine
-	var st Strategy
-	var err error
-	if opt.ForceStack {
-		ev, st, err = q.stackQuery(), Stack, nil
-	} else {
-		ev, st, err = q.queryEvaluator(enc, !opt.ForbidStack)
-	}
+	ev, st, err := compileRun(enc, opt, q.queryEvaluator, q.stackQuery)
 	if err != nil {
 		return Stats{Strategy: st}, err
-	}
-	if c != nil {
-		core.Instrument(ev, c)
-		if st == Stack {
-			c.StackFallbacks.Inc()
-		}
 	}
 	stats := Stats{Strategy: st, Workers: 1, Chunks: 1, Pipeline: PipelineCoded}
 	report := func(m core.Match) {
@@ -326,22 +313,9 @@ func (q *Query) recognize(src encoding.Source, enc Encoding, opt Options,
 	src = opt.guard(src)
 	opt.Workers = effectiveWorkers(opt.Workers)
 	c := opt.Collector
-	var ev core.Evaluator
-	var st Strategy
-	var err error
-	if opt.ForceStack {
-		ev, st = stackFn(), Stack
-	} else {
-		ev, st, err = pickFn(enc, !opt.ForbidStack)
-	}
+	ev, st, err := compileRun(enc, opt, pickFn, stackFn)
 	if err != nil {
 		return false, Stats{Strategy: st}, err
-	}
-	if c != nil {
-		core.Instrument(ev, c)
-		if st == Stack {
-			c.StackFallbacks.Inc()
-		}
 	}
 	stats := Stats{Strategy: st, Workers: 1, Chunks: 1, Pipeline: PipelineString}
 	if cm, chunkable := ev.(core.Chunkable); chunkable && opt.Workers > 1 {
@@ -363,8 +337,29 @@ func (q *Query) recognize(src encoding.Source, enc Encoding, opt Options,
 	if core.CodedCapable(ev) {
 		stats.Pipeline = PipelineCoded
 	}
-	ok, err := core.RecognizeCodedObs(ev, c, src)
+	ok, events, err := core.RecognizeCodedObs(ev, c, src)
+	stats.Events = events
 	return ok, stats, err
+}
+
+// compileRun compiles a run's machine under opt — stack() when
+// opt.ForceStack, else pick(enc, !opt.ForbidStack) — and attaches
+// opt.Collector to it. Select, Recognize and MultiQuery runs all take their
+// machines from here, so a one-member MultiQuery run is instrumented
+// exactly like its Query's.
+func compileRun[M core.Evaluator](enc Encoding, opt Options, pick func(Encoding, bool) (M, Strategy, error), stack func() M) (ev M, st Strategy, err error) {
+	if opt.ForceStack {
+		ev, st = stack(), Stack
+	} else if ev, st, err = pick(enc, !opt.ForbidStack); err != nil {
+		return ev, st, err
+	}
+	if c := opt.Collector; c != nil {
+		core.Instrument(ev, c)
+		if st == Stack {
+			c.StackFallbacks.Inc()
+		}
+	}
+	return ev, st, nil
 }
 
 func (q *Query) stackQuery() core.QueryMachine { return stackeval.QL(q.an.D) }

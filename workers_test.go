@@ -125,7 +125,8 @@ var tierQueries = []struct {
 // registerless recognizers (the synopsis machine and its AL negation) are
 // not chunkable and run coded with the "strategy" fallback; the stackless
 // and stack tiers run the EL/AL wrappers, which chunk but have no coded
-// kernels.
+// kernels. Every run, sequential or chunked, reports the document's 82
+// events.
 func TestRecognizeStats(t *testing.T) {
 	withProcs(t, 8)
 	for _, tq := range tierQueries {
@@ -145,7 +146,7 @@ func TestRecognizeStats(t *testing.T) {
 				if tq.tier == Registerless {
 					wantPipe = PipelineCoded
 				}
-				if seq.Strategy != tq.tier || seq.Pipeline != wantPipe || seq.Workers != 1 || seq.Chunks != 1 || seq.CutPolicy != "" || seq.Fallback != "" {
+				if seq.Strategy != tq.tier || seq.Pipeline != wantPipe || seq.Workers != 1 || seq.Chunks != 1 || seq.CutPolicy != "" || seq.Fallback != "" || seq.Events != 82 {
 					t.Errorf("%s Workers=1: stats %+v", name, seq)
 				}
 				got, par, err := rec(strings.NewReader(sd.doc), Options{Workers: 2})
@@ -155,7 +156,7 @@ func TestRecognizeStats(t *testing.T) {
 				if got != want {
 					t.Errorf("%s Workers=2: %v, sequential %v", name, got, want)
 				}
-				if par.Strategy != tq.tier || par.Pipeline != wantPipe {
+				if par.Strategy != tq.tier || par.Pipeline != wantPipe || par.Events != 82 {
 					t.Errorf("%s Workers=2: stats %+v", name, par)
 				}
 				switch tq.tier {
